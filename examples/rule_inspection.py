@@ -79,8 +79,11 @@ def main() -> None:
           f"with p={test_probabilities[riskiest]:.3f}):")
     print(f"  left : {dict(pair.left.values)}")
     print(f"  right: {dict(pair.right.values)}")
-    for explanation in model.explain(test_features[riskiest], float(test_probabilities[riskiest]), top_k=4):
-        print(f"  [{explanation.weight_share:.0%}] {explanation.description}")
+    (explanation,) = model.explain_pairs(
+        test_features[[riskiest]], test_probabilities[[riskiest]], test_machine[[riskiest]], top_rules=4
+    )
+    for rule in explanation.fired_rules:
+        print(f"  [{rule.weight_share:.0%}] {rule.description}")
 
 
 if __name__ == "__main__":

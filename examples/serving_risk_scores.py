@@ -7,8 +7,8 @@ classifier and triage its output.  This example shows the full serving loop:
    JSON + npz (no pickle) with :func:`repro.serve.save_pipeline`;
 2. reload it — as a fresh process would — and verify the reloaded model
    reproduces the in-process risk scores exactly;
-3. wrap it in a :class:`repro.serve.RiskService` and score traffic two ways:
-   immediate micro-batched scoring and the ``submit()`` buffer;
+3. wrap it in a :class:`repro.serve.RiskService`, score traffic in
+   micro-batches, and explain the riskiest pair (scored in the same pass);
 4. hot-swap a second model version through a :class:`repro.serve.ModelRegistry`
    without interrupting lookups;
 5. print the serving statistics (throughput, cache hit-rate, batch sizes).
@@ -58,11 +58,12 @@ def main() -> None:
         print(f"  scored {len(scored)} pairs; riskiest pair {riskiest.pair.pair_id} "
               f"(machine label {riskiest.machine_label}, risk {riskiest.risk_score:.3f})")
 
-        # Streaming usage: submit() buffers pairs and flushes full batches.
-        pending = [service.submit(pair) for pair in split.test.pairs[:10]]
-        service.flush()
-        print(f"  streamed 10 pairs through submit(); first risk score "
-              f"{pending[0].result().risk_score:.3f}")
+        # Explaining scores in the same pass: each explanation carries the
+        # pair's risk score next to the rules that carry its weight.
+        (explanation,) = service.explain_pairs([riskiest.pair], top_rules=3)
+        assert explanation.risk_score == riskiest.risk_score
+        for rule in explanation.fired_rules:
+            print(f"    [{rule.weight_share:.0%} weight] {rule.description}")
 
         # Re-scoring the same traffic hits the vectorisation cache.
         service.score_workload(split.test)

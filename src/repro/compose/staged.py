@@ -41,7 +41,7 @@ from ..obs import get_recorder
 from ..parallel.chunks import ChunkScores
 from ..parallel.config import ExecutionConfig
 from ..risk.feature_generation import GeneratedRiskFeatures, RiskFeatureGenerator
-from ..risk.model import FeatureExplanation, LearnRiskModel, PairRiskExplanation
+from ..risk.model import LearnRiskModel, PairRiskExplanation, RuleContribution
 from ..risk.onesided_tree import OneSidedTreeConfig
 from ..risk.training import TrainingConfig
 from ..serialization import (
@@ -70,7 +70,7 @@ class RiskReport:
     risk_scores: np.ndarray
     ranking: np.ndarray
     auroc: float | None = None
-    explanations: dict[int, list[FeatureExplanation]] = field(default_factory=dict)
+    explanations: dict[int, list[RuleContribution]] = field(default_factory=dict)
 
     def top_risky(self, k: int = 10) -> list[tuple[RecordPair, float]]:
         """The ``k`` riskiest pairs with their scores, most risky first."""
@@ -326,11 +326,14 @@ class StagedPipeline:
             matrix, probabilities, machine_labels = self._classify_pairs(pairs)
             risk_scores = self.risk_model.score(matrix, probabilities, machine_labels)
             ranking = np.argsort(-risk_scores, kind="stable")
-            explanations: dict[int, list[FeatureExplanation]] = {}
-            for index in ranking[:explain_top]:
-                explanations[int(index)] = self.risk_model.explain(
-                    matrix[int(index)], float(probabilities[int(index)])
+            explanations: dict[int, list[RuleContribution]] = {}
+            if explain_top:
+                riskiest = ranking[:explain_top]
+                explained = self.risk_model.explain_pairs(
+                    matrix[riskiest], probabilities[riskiest], machine_labels[riskiest]
                 )
+                for index, explanation in zip(riskiest, explained):
+                    explanations[int(index)] = explanation.fired_rules
         recorder.count("pipeline.chunks_scored")
         recorder.count("pipeline.pairs_scored", len(pairs))
         return ChunkScores(
@@ -478,11 +481,9 @@ class StagedPipeline:
             ):
                 yield self._report_from_scores(chunk, scores)
 
-    def explain_pair(self, pair: RecordPair, top_k: int | None = None) -> list[FeatureExplanation]:
+    def explain_pair(self, pair: RecordPair, top_k: int | None = None) -> list[RuleContribution]:
         """Explain a single pair's risk in terms of the rules covering it."""
-        self._check_fitted()
-        matrix, probabilities, _ = self._classify_pairs([pair])
-        return self.risk_model.explain(matrix[0], float(probabilities[0]), top_k=top_k)
+        return self.explain_pairs([pair], top_rules=top_k)[0].fired_rules
 
     def explain_pairs(
         self, pairs: list[RecordPair], top_rules: int | None = None

@@ -46,7 +46,8 @@ from .cluster import ClusterStore, record_key
 from .events import EventLog, ResolutionEvent, STATE_DECISIONS, replay_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime serve import)
-    from ..serve.service import RiskService, ScoredPair
+    from ..risk.model import PairRiskExplanation
+    from ..serve.service import RiskService
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class ResolutionPolicy:
     top_rules:
         Fired rules kept per event explanation (``None`` keeps all).
     explain:
-        Attach fired-rule explanations to events.  Disabling skips the
-        explain pass entirely (the bench's throughput mode).
+        Attach fired-rule explanations to events.  Disabling scores without
+        explaining (the bench's throughput mode).
     """
 
     attributes: tuple[str, ...]
@@ -263,17 +264,22 @@ class OnlineResolver:
                         RecordPair(self._records[candidate], record)
                         for candidate in candidate_keys
                     ]
-                    scored = self.service.score_pairs(pairs)
+                    # One pass per arrival: an explanation carries the
+                    # probability, label and risk score it explains.
                     if self.policy.explain:
-                        explanations = self.service.explain_pairs(
-                            pairs, top_rules=self.policy.top_rules
-                        )
+                        outcomes = [
+                            (one.machine_probability, one.machine_label, one.risk_score, one)
+                            for one in self.service.explain_pairs(
+                                pairs, top_rules=self.policy.top_rules
+                            )
+                        ]
                     else:
-                        explanations = [None] * len(pairs)
-                    for candidate, one, explanation in zip(
-                        candidate_keys, scored, explanations
-                    ):
-                        events.append(self._decide(candidate, key, one, explanation))
+                        outcomes = [
+                            (one.probability, one.machine_label, one.risk_score, None)
+                            for one in self.service.score_pairs(pairs)
+                        ]
+                    for candidate, outcome in zip(candidate_keys, outcomes):
+                        events.append(self._decide(candidate, key, *outcome))
                 # Index *after* probing so a record never pairs with itself.
                 self._index.add(key, tokens)
             recorder.apply(
@@ -290,8 +296,10 @@ class OnlineResolver:
         self,
         left_key: str,
         right_key: str,
-        scored: "ScoredPair",
-        explanation,
+        probability: float,
+        machine_label: int,
+        risk_score: float,
+        explanation: "PairRiskExplanation | None",
     ) -> ResolutionEvent:
         """Apply the policy to one scored pair and log the decision."""
         policy = self.policy
@@ -299,13 +307,13 @@ class OnlineResolver:
         before_left = store.members(left_key)
         before_right = store.members(right_key)
         threshold = (
-            policy.merge_threshold if scored.machine_label == 1 else policy.split_threshold
+            policy.merge_threshold if machine_label == 1 else policy.split_threshold
         )
         cluster_after: list[str] | None = None
 
-        if scored.risk_score > threshold:
+        if risk_score > threshold:
             decision, reason = "escalate", "risk_above_threshold"
-        elif scored.machine_label == 1:
+        elif machine_label == 1:
             if store.find(left_key) == store.find(right_key):
                 decision, reason = "merge", "already_same_cluster"
             elif store.can_merge(left_key, right_key):
@@ -337,9 +345,9 @@ class OnlineResolver:
             right_id=right.record_id,
             right_source=right.source,
             reason=reason,
-            probability=scored.probability,
-            machine_label=scored.machine_label,
-            risk_score=scored.risk_score,
+            probability=probability,
+            machine_label=machine_label,
+            risk_score=risk_score,
             threshold=threshold,
             explanation=explanation.to_dict() if explanation is not None else None,
             cluster_before_left=before_left,

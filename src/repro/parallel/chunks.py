@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..risk.model import FeatureExplanation
+from ..risk.model import RuleContribution
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ChunkScores:
     machine_labels: np.ndarray
     risk_scores: np.ndarray
     ranking: np.ndarray
-    explanations: dict[int, list[FeatureExplanation]] = field(default_factory=dict)
+    explanations: dict[int, list[RuleContribution]] = field(default_factory=dict)
     worker: str | None = None
     worker_seconds: float = 0.0
     rebuild_seconds: float = 0.0

@@ -19,7 +19,7 @@ from .metrics import (
     resolve_risk_metric,
     value_at_risk,
 )
-from .model import FeatureExplanation, LearnRiskModel
+from .model import LearnRiskModel, RuleContribution
 from .onesided_tree import (
     OneSidedSplit,
     OneSidedTreeBuilder,
@@ -47,7 +47,6 @@ from .training import (
 
 __all__ = [
     "Condition",
-    "FeatureExplanation",
     "GeneratedRiskFeatures",
     "LearnRiskModel",
     "NormalDistribution",
@@ -60,6 +59,7 @@ __all__ = [
     "RiskModelTrainer",
     "RiskParameters",
     "RiskRule",
+    "RuleContribution",
     "RuleKernel",
     "TrainingConfig",
     "TrainingResult",

@@ -51,16 +51,6 @@ from .training import (
 
 
 @dataclass(frozen=True)
-class FeatureExplanation:
-    """One entry of a pair's risk explanation (the interpretability output)."""
-
-    description: str
-    weight_share: float
-    expectation: float
-    is_classifier_output: bool
-
-
-@dataclass(frozen=True)
 class RuleContribution:
     """One risk feature's contribution to a pair's aggregated distribution.
 
@@ -325,58 +315,23 @@ class LearnRiskModel:
         return np.argsort(-scores, kind="stable")
 
     # ------------------------------------------------------------ interpret
-    def explain(
-        self,
-        metric_row: np.ndarray,
-        machine_probability: float,
-        top_k: int | None = None,
-    ) -> list[FeatureExplanation]:
-        """Explain one pair's risk by its features' weight shares.
-
-        Returns the rules covering the pair (plus the classifier-output
-        feature) ordered by their share of the portfolio weight — the paper's
-        interpretability payoff: a risky pair can be traced back to the
-        human-readable rules responsible.
-        """
-        metric_row = np.asarray(metric_row, dtype=float).reshape(1, -1)
-        membership_row = self.features.rule_matrix(metric_row)[0]
-        output_weight = float(self.influence_weight(np.array([machine_probability]))[0])
-        contributions = feature_contributions(
-            membership_row, self.rule_weights, self.rule_expectations,
-            output_weight=output_weight, output_mean=machine_probability,
-        )
-        explanations = []
-        for feature_index, share in contributions:
-            if feature_index == -1:
-                explanations.append(FeatureExplanation(
-                    description=f"classifier output = {machine_probability:.3f}",
-                    weight_share=share,
-                    expectation=float(machine_probability),
-                    is_classifier_output=True,
-                ))
-            else:
-                rule = self.features.rules[feature_index]
-                explanations.append(FeatureExplanation(
-                    description=rule.describe(),
-                    weight_share=share,
-                    expectation=rule.expectation,
-                    is_classifier_output=False,
-                ))
-        if top_k is not None:
-            explanations = explanations[:top_k]
-        return explanations
-
     def _rule_contributions(
-        self, membership_row: np.ndarray, machine_probability: float
+        self,
+        membership_row: np.ndarray,
+        machine_probability: float,
+        rule_weights: np.ndarray,
+        rule_expectations: np.ndarray,
+        top_rules: int | None,
     ) -> list[RuleContribution]:
-        """The fired features of one pair as :class:`RuleContribution` entries."""
+        """The ``top_rules`` heaviest fired features of one pair (all for ``None``)."""
         output_weight = float(self.influence_weight(np.array([machine_probability]))[0])
         contributions = feature_contributions(
-            membership_row, self.rule_weights, self.rule_expectations,
+            membership_row, rule_weights, rule_expectations,
             output_weight=output_weight, output_mean=machine_probability,
         )
         fired: list[RuleContribution] = []
-        for feature_index, share in contributions:
+        # Cut before building entries, so only kept rules format a description.
+        for feature_index, share in contributions[:top_rules]:
             if feature_index == -1:
                 fired.append(RuleContribution(
                     rule_index=-1,
@@ -406,16 +361,19 @@ class LearnRiskModel:
         For every pair: the rules that fired on it (with portfolio weight
         shares), its aggregated equivalence-probability distribution, the
         central probability interval at the model's VaR confidence θ
-        (``[F⁻¹(1−θ), F⁻¹(θ)]`` of the truncated normal), and its risk score —
-        the batched, serialisable counterpart of :meth:`explain`.
-        ``top_rules`` truncates each pair's rule list (highest weight share
-        first, matching :meth:`explain`'s ordering).
+        (``[F⁻¹(1−θ), F⁻¹(θ)]`` of the truncated normal), and its risk score,
+        bit-identical to :meth:`score` — the paper's interpretability payoff:
+        a risky pair can be traced back to the human-readable rules
+        responsible.  ``top_rules`` keeps each pair's heaviest rules (highest
+        weight share first).
         """
         metric_matrix = np.asarray(metric_matrix, dtype=float)
         machine_probabilities = np.asarray(machine_probabilities, dtype=float)
         machine_labels = np.asarray(machine_labels, dtype=int)
-        with get_recorder().span("explain_pairs"):
-            membership = self.features.membership(metric_matrix)
+        recorder = get_recorder()
+        with recorder.span("explain_pairs"):
+            with recorder.span("rule_kernel"):
+                membership = self.features.membership(metric_matrix)
             distribution = self._distribution_from_membership(
                 membership, machine_probabilities
             )
@@ -431,13 +389,14 @@ class LearnRiskModel:
                 distribution.means, stds, 1.0 - theta
             )
             interval_highs = truncated_normal_quantile(distribution.means, stds, theta)
+            rule_weights = self.rule_weights
+            rule_expectations = self.rule_expectations
             explanations: list[PairRiskExplanation] = []
             for row in range(len(metric_matrix)):
                 fired = self._rule_contributions(
-                    membership[row], float(machine_probabilities[row])
+                    membership[row], float(machine_probabilities[row]),
+                    rule_weights, rule_expectations, top_rules,
                 )
-                if top_rules is not None:
-                    fired = fired[:top_rules]
                 explanations.append(PairRiskExplanation(
                     machine_probability=float(machine_probabilities[row]),
                     machine_label=int(machine_labels[row]),

@@ -141,7 +141,7 @@ def feature_contributions(
 
     Returns ``(feature_index, share)`` tuples where ``feature_index`` is the
     rule index or ``-1`` for the classifier-output feature, and the shares sum
-    to 1.  Used by the interpretability API (:meth:`LearnRiskModel.explain`).
+    to 1.  Used by the interpretability API (:meth:`LearnRiskModel.explain_pairs`).
     """
     membership_row = np.asarray(membership_row, dtype=float)
     weights = membership_row * np.asarray(rule_weights, dtype=float)

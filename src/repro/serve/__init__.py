@@ -38,11 +38,10 @@ from .persistence import (
     save_state,
 )
 from .registry import ModelRegistry
-from .service import PendingScore, RiskService, ScoredPair, ServiceStats, pair_key
+from .service import RiskService, ScoredPair, ServiceStats, pair_key
 
 __all__ = [
     "ModelRegistry",
-    "PendingScore",
     "RiskService",
     "ScoredPair",
     "ServiceStats",

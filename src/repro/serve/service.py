@@ -7,10 +7,11 @@ a live ER classifier to triage its output for human review.
 
 Three serving concerns are handled here:
 
-* **Micro-batching** — :meth:`RiskService.submit` buffers pairs and scores
-  them as one batch when the buffer reaches ``max_batch_size`` (or on
-  :meth:`RiskService.flush`).  Batch scoring amortises the classifier forward
-  pass and the portfolio aggregation over many pairs.
+* **Micro-batching** — :meth:`RiskService.score_pairs` and
+  :meth:`RiskService.explain_pairs` run their input in batches of at most
+  ``max_batch_size`` pairs.  Batch scoring amortises the classifier forward
+  pass and the portfolio aggregation over many pairs; explaining scores the
+  pairs in the same pass, so an explained pair is never scored twice.
 * **Vectorisation caching** — turning a record pair into its metric vector
   (string similarities, TF-IDF cosine, ...) dominates scoring cost and depends
   only on the pair's records, so vectors are memoised in an LRU cache keyed by
@@ -39,6 +40,7 @@ the hit rate keeps describing only lookups the cache actually served.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -73,34 +75,6 @@ class ScoredPair:
     probability: float
     machine_label: int
     risk_score: float
-
-
-class PendingScore:
-    """Handle returned by :meth:`RiskService.submit` for a not-yet-scored pair.
-
-    Calling :meth:`result` forces a flush of the service's buffer if the pair
-    has not been scored yet.
-    """
-
-    def __init__(self, service: "RiskService", pair: RecordPair) -> None:
-        self._service = service
-        self.pair = pair
-        self._result: ScoredPair | None = None
-
-    @property
-    def done(self) -> bool:
-        """``True`` once the pair has been scored."""
-        return self._result is not None
-
-    def result(self) -> ScoredPair:
-        """Return the scored result, flushing the service's buffer if needed."""
-        if self._result is None:
-            self._service.flush()
-        assert self._result is not None, "flush() must resolve every buffered score"
-        return self._result
-
-    def _resolve(self, result: ScoredPair) -> None:
-        self._result = result
 
 
 class ServiceStats:
@@ -255,7 +229,7 @@ class RiskService:
         any :class:`~repro.compose.staged.StagedPipeline` (freshly fitted or
         loaded with :func:`repro.serve.persistence.load_pipeline`).
     max_batch_size:
-        Buffered :meth:`submit` calls auto-flush at this batch size.
+        The most pairs scored or explained under one hold of the service lock.
     cache_size:
         Maximum number of metric vectors kept in the LRU vectorisation cache;
         0 disables caching.
@@ -287,7 +261,6 @@ class RiskService:
         self.stats = ServiceStats(metrics)
         self._lock = threading.RLock()
         self._cache: OrderedDict[PairKey, np.ndarray] = OrderedDict()
-        self._buffer: list[tuple[RecordPair, PendingScore]] = []
         # Lazily-built multi-worker engines keyed by execution config, reused
         # across parallel passes so repeated score_source(workers=N) calls
         # keep their warmed pool.  One engine per config (instead of swapping
@@ -364,19 +337,32 @@ class RiskService:
             return len(self._cache)
 
     # ----------------------------------------------------------------- scoring
-    def _score_batch(self, pairs: Sequence[RecordPair]) -> list[ScoredPair]:
-        """Score ``pairs`` as one batch (caller holds the lock)."""
+    def _model_batch(self, pairs: Sequence[RecordPair], model_pass) -> tuple:
+        """Vectorise, classify and run ``model_pass`` on one batch (caller holds the lock).
+
+        ``model_pass(matrix, probabilities, machine_labels)`` is the risk
+        model's ``score`` or ``explain_pairs``; the batch counts once in the
+        statistics either way.  Returns ``(probabilities, machine_labels,
+        model_pass output)``.
+        """
         start = time.perf_counter()
         matrix = self._vectorize(pairs)
         # The pipeline owns the decision threshold (a spec field); going
         # through classify_matrix keeps serving and analyse() in agreement.
         probabilities, machine_labels = self.pipeline.classify_matrix(matrix)
-        risk_scores = self.pipeline.risk_model.score(matrix, probabilities, machine_labels)
+        output = model_pass(matrix, probabilities, machine_labels)
         elapsed = time.perf_counter() - start
         self.stats.record_batch(len(pairs), elapsed)
         index = getattr(self.pipeline.vectorizer, "corpus_index", None)
         if index is not None:
             self.stats.record_corpus_entries(index.entry_count)
+        return probabilities, machine_labels, output
+
+    def _score_batch(self, pairs: Sequence[RecordPair]) -> list[ScoredPair]:
+        """Score ``pairs`` as one batch (caller holds the lock)."""
+        probabilities, machine_labels, risk_scores = self._model_batch(
+            pairs, self.pipeline.risk_model.score
+        )
         return [
             ScoredPair(
                 pair=pair,
@@ -387,22 +373,24 @@ class RiskService:
             for index, pair in enumerate(pairs)
         ]
 
+    def _in_batches(self, pairs: Iterable[RecordPair], run_batch) -> list:
+        """``run_batch`` over consecutive ``max_batch_size`` slices of ``pairs``, concatenated."""
+        pairs = list(pairs)
+        results = []
+        # Lock per micro-batch, not across the whole input, so concurrent
+        # callers are never blocked for more than one batch.
+        for start in range(0, len(pairs), self.max_batch_size):
+            with self._lock:
+                results.extend(run_batch(pairs[start:start + self.max_batch_size]))
+        return results
+
     def score_pairs(self, pairs: Iterable[RecordPair]) -> list[ScoredPair]:
-        """Score pairs immediately (independently of the submit buffer).
+        """Score pairs immediately.
 
         Large inputs are processed in micro-batches of ``max_batch_size`` so
         memory stays bounded and batch statistics stay meaningful.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        results: list[ScoredPair] = []
-        # Lock per micro-batch, not across the whole input, so concurrent
-        # submit()/flush() callers are never blocked for more than one batch.
-        for start in range(0, len(pairs), self.max_batch_size):
-            with self._lock:
-                results.extend(self._score_batch(pairs[start:start + self.max_batch_size]))
-        return results
+        return self._in_batches(pairs, self._score_batch)
 
     def risk_scores(self, pairs: Iterable[RecordPair]) -> np.ndarray:
         """Risk scores only, as an array aligned with ``pairs``."""
@@ -411,23 +399,17 @@ class RiskService:
     def explain_pairs(
         self, pairs: Iterable[RecordPair], top_rules: int | None = None
     ) -> list[PairRiskExplanation]:
-        """Decision-level explanations through the serving path.
+        """Score and explain pairs in one pass, micro-batched like :meth:`score_pairs`.
 
-        Vectorisation goes through the service's LRU cache (and counts in the
-        statistics) exactly like scoring, so explaining recently scored pairs
-        is cheap; the payloads are the same
-        :class:`~repro.risk.model.PairRiskExplanation` objects the pipeline
-        API returns, with risk scores bit-identical to :meth:`score_pairs`.
+        Vectorisation goes through the service's LRU cache, and every batch
+        counts in the statistics, exactly like scoring.  The payloads are the
+        same :class:`~repro.risk.model.PairRiskExplanation` objects the
+        pipeline API returns; each carries the probability, machine label and
+        risk score :meth:`score_pairs` gives the pair, bit for bit, so a
+        caller that explains need not also score.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        with self._lock:
-            matrix = self._vectorize(pairs)
-            probabilities, machine_labels = self.pipeline.classify_matrix(matrix)
-            return self.pipeline.risk_model.explain_pairs(
-                matrix, probabilities, machine_labels, top_rules=top_rules
-            )
+        explain = functools.partial(self.pipeline.risk_model.explain_pairs, top_rules=top_rules)
+        return self._in_batches(pairs, lambda batch: self._model_batch(batch, explain)[2])
 
     def score_source(
         self,
@@ -555,39 +537,3 @@ class RiskService:
                 as_pair_source(workload), workers=config.workers, execution=config
             ))
         return self.score_pairs(workload.pairs)
-
-    # --------------------------------------------------------- micro-batching
-    def submit(self, pair: RecordPair) -> PendingScore:
-        """Buffer a pair for batched scoring; auto-flushes at ``max_batch_size``."""
-        pending = PendingScore(self, pair)
-        with self._lock:
-            self._buffer.append((pair, pending))
-            if len(self._buffer) >= self.max_batch_size:
-                self._flush_locked()
-        return pending
-
-    def flush(self) -> int:
-        """Score every buffered pair now; returns the number of pairs scored."""
-        with self._lock:
-            return self._flush_locked()
-
-    def _flush_locked(self) -> int:
-        if not self._buffer:
-            return 0
-        buffered, self._buffer = self._buffer, []
-        try:
-            results = self._score_batch([pair for pair, _ in buffered])
-        except Exception:
-            # Put the batch back so a transient scoring failure loses nothing
-            # and every PendingScore can still be resolved by a later flush.
-            self._buffer = buffered + self._buffer
-            raise
-        for (_, pending), scored in zip(buffered, results):
-            pending._resolve(scored)
-        return len(results)
-
-    @property
-    def pending_count(self) -> int:
-        """Number of submitted pairs waiting for the next flush."""
-        with self._lock:
-            return len(self._buffer)

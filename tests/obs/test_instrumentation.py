@@ -141,6 +141,25 @@ class TestExplainPayloads:
                 == full_explanation.fired_rules[: len(cut_explanation.fired_rules)]
             )
 
+    def test_only_kept_rules_are_described(self, obs_pipeline, scoring_pairs, monkeypatch):
+        from repro.risk import RiskRule
+
+        described = []
+        describe = RiskRule.describe
+
+        def counting_describe(rule):
+            described.append(rule)
+            return describe(rule)
+
+        monkeypatch.setattr(RiskRule, "describe", counting_describe)
+        explanations = obs_pipeline.explain_pairs(scoring_pairs, top_rules=2)
+        kept = [
+            rule for explanation in explanations for rule in explanation.fired_rules
+            if not rule.is_classifier_output
+        ]
+        assert kept
+        assert len(described) == len(kept) <= 2 * len(scoring_pairs)
+
     def test_to_dict_round_trips_through_json(self, obs_pipeline, scoring_pairs):
         import json
 

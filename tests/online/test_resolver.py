@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -139,6 +140,28 @@ def test_online_scores_bit_identical_to_batch(resolved, service):
         assert event.probability == scored.probability
         assert event.machine_label == scored.machine_label
         assert event.risk_score == scored.risk_score
+
+
+def test_explaining_resolver_scores_each_pair_once(service, ds_workload):
+    """With explain on, each arrival is scored and explained in one pass."""
+    from repro.data.records import RecordPair
+
+    fresh = RiskService(service.pipeline)
+    resolver = OnlineResolver(fresh, replace(POLICY, explain=True, top_rules=2))
+    records = stream_records(ds_workload, per_side=20)
+    events = [event for record in records for event in resolver.add_record(record)]
+    stats = fresh.stats
+    assert stats.pairs_scored == len(events) == stats.cache_hits + stats.cache_misses
+    by_key = {record_key(record): record for record in records}
+    reference = RiskService(service.pipeline).score_pairs(
+        [RecordPair(by_key[event.left_key], by_key[event.right_key]) for event in events]
+    )
+    for event, scored in zip(events, reference):
+        assert event.probability == scored.probability
+        assert event.machine_label == scored.machine_label
+        assert event.risk_score == scored.risk_score
+        assert event.explanation["risk_score"] == event.risk_score
+        assert 1 <= len(event.explanation["fired_rules"]) <= 2
 
 
 def state_bytes(store_dict) -> str:

@@ -98,12 +98,13 @@ class TestLearnRiskModel:
 
     def test_explanations_are_interpretable(self, fitted_model, prepared_ds):
         test = prepared_ds.test
-        explanations = fitted_model.explain(test.features[0], float(test.probabilities[0]))
+        first = (test.features[:1], test.probabilities[:1], test.machine_labels[:1])
+        explanations = fitted_model.explain_pairs(*first)[0].fired_rules
         assert explanations
         shares = [e.weight_share for e in explanations]
         assert sum(shares) == pytest.approx(1.0, abs=1e-6)
         assert any(e.is_classifier_output for e in explanations)
-        top_two = fitted_model.explain(test.features[0], float(test.probabilities[0]), top_k=2)
+        top_two = fitted_model.explain_pairs(*first, top_rules=2)[0].fired_rules
         assert len(top_two) <= 2
 
     def test_influence_function_shape(self, fitted_model):

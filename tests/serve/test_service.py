@@ -72,6 +72,7 @@ class TestScoring:
         service = RiskService(pipeline)
         assert service.score_pairs([]) == []
         assert service.risk_scores([]).shape == (0,)
+        assert service.explain_pairs([]) == []
 
     def test_micro_batching_splits_large_inputs(self, served):
         pipeline, split = served
@@ -180,67 +181,26 @@ class TestCache:
         assert service.stats.cache_hits == len(pairs)
 
 
-class TestSubmitFlush:
-    def test_submit_autoflushes_at_batch_size(self, served):
-        pipeline, split = served
-        service = RiskService(pipeline, max_batch_size=5)
-        pending = [service.submit(pair) for pair in split.test.pairs[:5]]
-        assert all(p.done for p in pending)
-        assert service.pending_count == 0
-
-    def test_result_forces_flush(self, served):
-        pipeline, split = served
-        service = RiskService(pipeline, max_batch_size=100)
-        pending = service.submit(split.test.pairs[0])
-        assert not pending.done
-        assert service.pending_count == 1
-        scored = pending.result()
-        assert pending.done
-        assert scored.pair is split.test.pairs[0]
-        assert service.pending_count == 0
-
-    def test_submitted_scores_match_batch_scores(self, served):
+class TestExplain:
+    def test_explains_in_recorded_micro_batches(self, served):
+        # Explaining takes the lock per max_batch_size slice and records each
+        # slice as a batch, exactly like scoring.
         pipeline, split = served
         service = RiskService(pipeline, max_batch_size=7)
-        pairs = split.test.pairs[:20]
-        pending = [service.submit(pair) for pair in pairs]
-        service.flush()
-        submitted = np.array([p.result().risk_score for p in pending])
-
-        # Same micro-batch boundaries => bit-identical scores.
-        batch_service = RiskService(pipeline, max_batch_size=7)
-        batched = np.array([s.risk_score for s in batch_service.score_pairs(pairs)])
-        np.testing.assert_array_equal(submitted, batched)
-        # Different batch shapes may pick different BLAS kernels; the scores
-        # still agree far below any ranking-relevant tolerance.
-        expected = pipeline.analyse(split.test.subset(range(20))).risk_scores
-        np.testing.assert_allclose(submitted, expected, rtol=0.0, atol=1e-12)
-
-    def test_flush_on_empty_buffer(self, served):
-        pipeline, _ = served
-        service = RiskService(pipeline)
-        assert service.flush() == 0
-
-    def test_scoring_failure_keeps_buffer_and_handles_resolvable(self, served, monkeypatch):
-        """A transient scoring error must not drop buffered pairs (code-review fix)."""
-        pipeline, split = served
-        service = RiskService(pipeline, max_batch_size=100)
-        pending = [service.submit(pair) for pair in split.test.pairs[:3]]
-
-        original = pipeline.classifier.predict_proba
-
-        def boom(features):
-            raise RuntimeError("transient classifier failure")
-
-        monkeypatch.setattr(pipeline.classifier, "predict_proba", boom)
-        with pytest.raises(RuntimeError, match="transient"):
-            service.flush()
-        assert service.pending_count == 3
-        assert not any(p.done for p in pending)
-
-        monkeypatch.setattr(pipeline.classifier, "predict_proba", original)
-        assert service.flush() == 3
-        assert all(p.done for p in pending)
+        pairs = split.test.pairs[:15]
+        explained = service.explain_pairs(pairs, top_rules=3)
+        stats = service.stats.snapshot()
+        assert stats["batches"] == 3
+        assert stats["largest_batch"] == 7
+        assert stats["pairs_scored"] == 15
+        assert stats["cache_hits"] + stats["cache_misses"] == 15
+        chunked = RiskService(pipeline)
+        expected = [
+            explanation
+            for start in range(0, 15, 7)
+            for explanation in chunked.explain_pairs(pairs[start:start + 7], top_rules=3)
+        ]
+        assert explained == expected
 
 
 class TestThreadSafety:
