@@ -202,6 +202,84 @@ class TestExplain:
         ]
         assert explained == expected
 
+    def test_explained_scores_match_scored_pairs(self, served):
+        # An explanation carries the pair's score bit for bit, so an
+        # explaining caller never needs a separate score_pairs pass.
+        pipeline, split = served
+        pairs = split.test.pairs[:20]
+        explained = RiskService(pipeline, max_batch_size=7).explain_pairs(pairs)
+        scored = RiskService(pipeline, max_batch_size=7).score_pairs(pairs)
+        assert [e.machine_probability for e in explained] == [s.probability for s in scored]
+        assert [e.machine_label for e in explained] == [s.machine_label for s in scored]
+        assert [e.risk_score for e in explained] == [s.risk_score for s in scored]
+        expected = pipeline.analyse(split.test.subset(range(20))).risk_scores
+        np.testing.assert_allclose(
+            [e.risk_score for e in explained], expected, rtol=0.0, atol=1e-12
+        )
+
+    def test_lock_is_released_between_batches(self, served, monkeypatch):
+        # A long explain input must not hold the service lock across its
+        # whole length: each max_batch_size slice takes and releases it.
+        pipeline, split = served
+        service = RiskService(pipeline, max_batch_size=7)
+        log: list[str] = []
+
+        class RecordingLock:
+            def __init__(self) -> None:
+                self._lock = threading.RLock()
+
+            def __enter__(self) -> None:
+                self._lock.acquire()
+                log.append("acquire")
+
+            def __exit__(self, *exc_info: object) -> None:
+                log.append("release")
+                self._lock.release()
+
+        explain = pipeline.risk_model.explain_pairs
+
+        def logged_explain(*args, **kwargs):
+            log.append("explain")
+            return explain(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_lock", RecordingLock())
+        monkeypatch.setattr(pipeline.risk_model, "explain_pairs", logged_explain)
+        service.explain_pairs(split.test.pairs[:15], top_rules=3)
+        assert log == ["acquire", "explain", "release"] * 3
+
+    def test_failed_batch_is_not_recorded_and_service_recovers(self, served, monkeypatch):
+        # A transient model failure surfaces to the caller, records no batch,
+        # leaves the lock free, and the next call explains normally.
+        pipeline, split = served
+        service = RiskService(pipeline, max_batch_size=100)
+        pairs = split.test.pairs[:3]
+
+        def boom(features):
+            raise RuntimeError("transient classifier failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline.classifier, "predict_proba", boom)
+            with pytest.raises(RuntimeError, match="transient"):
+                service.explain_pairs(pairs)
+        assert service.stats.pairs_scored == 0
+        assert service.stats.batches == 0
+
+        acquired: list[bool] = []
+
+        def probe() -> None:
+            if service._lock.acquire(timeout=5):
+                service._lock.release()
+                acquired.append(True)
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join()
+        assert acquired == [True]
+
+        assert service.explain_pairs(pairs) == RiskService(pipeline).explain_pairs(pairs)
+        assert service.stats.pairs_scored == 3
+        assert service.stats.batches == 1
+
 
 class TestThreadSafety:
     def test_concurrent_scoring_is_consistent(self, served):

@@ -10,6 +10,7 @@ from repro.classifiers.mlp import MLPClassifier
 from repro.data import split_workload
 from repro.exceptions import NotFittedError
 from repro.pipeline import LearnRiskPipeline
+from repro.risk import RuleContribution
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
 
@@ -78,6 +79,19 @@ class TestLearnRiskPipeline:
         explanations = pipeline.explain_pair(split.test.pairs[0], top_k=4)
         assert 1 <= len(explanations) <= 4
         assert all(hasattr(e, "description") for e in explanations)
+
+    def test_report_explanations_come_from_explain_pairs(self, fitted_pipeline):
+        # Reports, explain_pair and explain_pairs share one explanation type
+        # and one code path, so the same pair explains identically in each.
+        pipeline, split = fitted_pipeline
+        report = pipeline.analyse(split.test, explain_top=3)
+        assert sorted(report.explanations) == sorted(report.ranking[:3].tolist())
+        for index, fired in report.explanations.items():
+            pair = split.test.pairs[index]
+            assert fired
+            assert all(isinstance(rule, RuleContribution) for rule in fired)
+            assert fired == pipeline.explain_pairs([pair])[0].fired_rules
+            assert pipeline.explain_pair(pair, top_k=2) == fired[:2]
 
 
 class TestPublicApi:
