@@ -21,7 +21,9 @@ scale:
 The ``--smoke`` CI mode shrinks the corpus and guards the contract:
 
 * streamed candidates, collected and sorted, are **bit-identical** to the
-  legacy ``TokenBlocker.block`` output on the same tables;
+  eager ``InvertedIndexBlocker.block`` output on the same tables (itself
+  parity-locked to the historical token blocker in
+  ``tests/data/test_blocking.py``);
 * the corpus is larger than the scoring chunk size and the streamed peak
   stays below both the materialised-blocking peak and the eager-scoring peak
   (bounded-by-the-chunk working set);
@@ -51,7 +53,6 @@ from repro.blocking import (
     MinHashLSHBlocker,
 )
 from repro.compose import create_source
-from repro.data.blocking import TokenBlocker
 from repro.data.generators import GenerationConfig
 from repro.obs import Stopwatch
 from repro.serve import RiskService, load_pipeline
@@ -160,14 +161,12 @@ def bounded_peak_check(args: argparse.Namespace) -> dict:
 
 
 def check_legacy_parity(corpus: GeneratedCorpus) -> bool:
-    """Streamed inverted-index candidates == legacy TokenBlocker, bit for bit."""
+    """Streamed inverted-index candidates == the eager block, bit for bit."""
     wave = next(iter(corpus.waves()))
-    streaming = InvertedIndexBlocker(["title", "authors"], min_shared=2,
-                                     max_token_frequency=0.05)
-    classic = TokenBlocker(["title", "authors"], min_shared=2,
-                           max_token_frequency=0.05)
-    streamed = sorted(streaming.iter_wave_candidates(wave))
-    return streamed == classic.block(wave.left, wave.right)
+    blocker = InvertedIndexBlocker(["title", "authors"], min_shared=2,
+                                   max_token_frequency=0.05)
+    streamed = sorted(blocker.iter_wave_candidates(wave))
+    return streamed == blocker.block(wave.left, wave.right)
 
 
 def fit_spec(seed: int) -> dict:
@@ -221,7 +220,7 @@ def run_end_to_end(args: argparse.Namespace, directory: Path) -> dict:
     with Stopwatch() as watch:
         source = create_source("blocked", score_source_params(args), args.seed)
         workload = source.materialize()
-        scored = service.score_workload(workload)
+        scored = service.score_pairs(workload.pairs)
     eager_seconds = watch.seconds
     _, eager_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -324,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     print(format_grid(grid_results))
 
     legacy_parity = check_legacy_parity(corpus)
-    print(f"  legacy TokenBlocker parity : {'ok' if legacy_parity else 'FAIL'}")
+    print(f"  legacy block() parity      : {'ok' if legacy_parity else 'FAIL'}")
     bounded = bounded_peak_check(args)
     print(f"  bounded peak (loose blocker, {bounded['candidates']} candidates): "
           f"streamed {bounded['streamed_peak_bytes'] / 1e6:.2f} MB vs "
@@ -366,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output}")
 
     if not legacy_parity:
-        print("FAILURE: streamed candidates diverge from the legacy TokenBlocker")
+        print("FAILURE: streamed candidates diverge from the eager block() output")
         return 1
     if not end_to_end["score_parity"]:
         print("FAILURE: streamed risk scores diverge from the eager control")

@@ -19,7 +19,7 @@ qualify every number.  Each grid pass runs under a
 chunk timings and pipeline-rebuild costs straight from the engine's own merge
 telemetry.
 The ``--smoke`` CI mode asserts the determinism contract unconditionally
-(thread and process backends, uneven chunks) and asserts the ≥2x speedup at
+(process backend, two worker counts, uneven chunks) and asserts the ≥2x speedup at
 4 workers only where ≥4 cores are actually available, recording
 ``speedup_check: "skipped (N cores)"`` otherwise.
 
@@ -170,32 +170,31 @@ def run_smoke(args: argparse.Namespace) -> dict:
     ])
 
     checks: dict = {}
-    # Parity across backends, worker counts and uneven chunkings — always on.
-    for backend in ("thread", "process"):
-        for workers in (2, 4):
-            for chunk in (args.chunk_size, 1 + args.chunk_size // 3):
-                execution = ExecutionConfig(workers=workers, backend=backend)
-                scores = np.concatenate([
-                    report.risk_scores
-                    for report in pipeline.analyse_batches(
-                        workload, batch_size=chunk, execution=execution
-                    )
-                ])
-                key = f"{backend}-w{workers}-c{chunk}"
-                checks[key] = bool(np.array_equal(scores, serial))
-                assert checks[key], f"smoke parity failed: {key}"
+    # Parity across worker counts and uneven chunkings — always on.
+    for workers in (2, 4):
+        for chunk in (args.chunk_size, 1 + args.chunk_size // 3):
+            execution = ExecutionConfig(workers=workers, backend="process")
+            scores = np.concatenate([
+                report.risk_scores
+                for report in pipeline.analyse_batches(
+                    workload, batch_size=chunk, execution=execution
+                )
+            ])
+            key = f"process-w{workers}-c{chunk}"
+            checks[key] = bool(np.array_equal(scores, serial))
+            assert checks[key], f"smoke parity failed: {key}"
     # CLI path parity: the source streamed through the service must match too.
     source = InMemorySource(workload, name="smoke")
     from repro.serve import RiskService
 
-    service = RiskService(pipeline, max_batch_size=args.chunk_size, cache_size=0)
-    parallel_rows = [
-        scored.risk_score
-        for scored in service.score_source(
-            source, chunk_size=args.chunk_size,
-            execution=ExecutionConfig(workers=2, backend="process"),
-        )
-    ]
+    with RiskService(pipeline, max_batch_size=args.chunk_size, cache_size=0) as service:
+        parallel_rows = [
+            scored.risk_score
+            for scored in service.score_source(
+                source, chunk_size=args.chunk_size,
+                execution=ExecutionConfig(workers=2, backend="process"),
+            )
+        ]
     checks["service-process-w2"] = bool(np.array_equal(np.asarray(parallel_rows), serial))
     assert checks["service-process-w2"], "service parity failed"
 
@@ -262,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers-grid", type=_parse_grid, default=[1, 2, 4],
                         help="comma-separated worker counts (default 1,2,4)")
     parser.add_argument("--chunk-size", type=int, default=512)
-    parser.add_argument("--backend", choices=("process", "thread"), default="process")
+    parser.add_argument("--backend", choices=("process",), default="process")
     parser.add_argument("--start-method", choices=("fork", "spawn", "forkserver"),
                         default=None)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,

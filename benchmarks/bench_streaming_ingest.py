@@ -6,7 +6,7 @@ candidate-pair file in bounded chunks instead of materialising it.  This
 benchmark quantifies the claim on one exported corpus:
 
 * **eager** — ``import_workload`` (the old path: everything in memory), then
-  ``RiskService.score_workload``;
+  ``RiskService.score_pairs``;
 * **streamed** — ``RiskService.score_source`` over a ``CsvPairSource`` with a
   fixed chunk size, scored rows written to CSV as they are produced.
 
@@ -73,12 +73,12 @@ def fit_and_save(workload, model_dir: Path) -> None:
 
 
 def run_eager(model_dir: Path, data_dir: Path, name: str, schema) -> dict[str, float]:
-    """The load-everything control: import_workload + score_workload."""
+    """The load-everything control: import_workload + score_pairs."""
     service = RiskService(load_pipeline(model_dir), max_batch_size=256, cache_size=0)
     tracemalloc.start()
     with Stopwatch() as watch:
         workload = import_workload(data_dir, name, schema)
-        scored = service.score_workload(workload)
+        scored = service.score_pairs(workload.pairs)
     seconds = watch.seconds
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -132,7 +132,7 @@ def run_scalar_control(model_dir: Path, data_dir: Path, name: str, schema) -> np
     service = RiskService(load_pipeline(model_dir), max_batch_size=256, cache_size=0)
     service.pipeline.vectorizer.batch_enabled = False
     workload = import_workload(data_dir, name, schema)
-    scored = service.score_workload(workload)
+    scored = service.score_pairs(workload.pairs)
     return np.array([s.risk_score for s in scored])
 
 

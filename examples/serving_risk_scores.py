@@ -53,7 +53,7 @@ def main() -> None:
 
         print("\nServing through RiskService (micro-batched, cached) ...")
         service = RiskService(reloaded, max_batch_size=128, cache_size=4096)
-        scored = service.score_workload(split.test)
+        scored = service.score_pairs(split.test.pairs)
         riskiest = max(scored, key=lambda s: s.risk_score)
         print(f"  scored {len(scored)} pairs; riskiest pair {riskiest.pair.pair_id} "
               f"(machine label {riskiest.machine_label}, risk {riskiest.risk_score:.3f})")
@@ -66,7 +66,7 @@ def main() -> None:
             print(f"    [{rule.weight_share:.0%} weight] {rule.description}")
 
         # Re-scoring the same traffic hits the vectorisation cache.
-        service.score_workload(split.test)
+        service.score_pairs(split.test.pairs)
         stats = service.stats.snapshot()
         print("\nServing statistics:")
         print(f"  throughput      : {stats['pairs_per_second']:.0f} pairs/s")

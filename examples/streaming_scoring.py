@@ -75,7 +75,7 @@ def main() -> None:
         print("\nControl: the eager path (import everything, then score) ...")
         tracemalloc.start()
         eager = import_workload(data_dir, workload.name, workload.left_table.schema)
-        eager_scored = service.score_workload(eager)
+        eager_scored = service.score_pairs(eager.pairs)
         _, eager_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         print(f"  scored {len(eager_scored)} pairs eagerly "

@@ -21,10 +21,10 @@ union several blockers *per left record* — still bounded, still deduplicated.
 :class:`SortedWindowBlocker` (sorted-neighbourhood) is window- rather than
 index-based and streams its merged sort order directly.
 
-The legacy eager API survives as :meth:`Blocker.block` — a thin materialising
-wrapper returning the full sorted pair list, which is exactly what
-:class:`repro.data.blocking.TokenBlocker` and friends now delegate to
-(parity-tested bit for bit against the historical implementation).
+The eager API is :meth:`Blocker.block` — a thin materialising wrapper
+returning the full sorted pair list.  For :class:`InvertedIndexBlocker` and
+:class:`SortedWindowBlocker` it is parity-tested bit for bit against the
+historical token and sorted-neighbourhood blockers they replaced.
 """
 
 from __future__ import annotations
@@ -168,7 +168,8 @@ class InvertedIndexBlocker(IndexBlocker):
         Minimum shared (non-stop) tokens for a candidate.
     max_token_frequency:
         Tokens in more than this fraction of either side's records are stop
-        words (computed per wave, per side, exactly like ``TokenBlocker``).
+        words (computed per wave, per side, exactly like the historical
+        token blocker).
     stop_tokens:
         Explicit stop set; when given, the per-wave frequency pass is skipped
         (the open-ended-stream regime, where corpus frequencies are unknown).

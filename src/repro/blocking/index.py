@@ -12,8 +12,8 @@ Two indexes are provided:
 * :class:`InvertedIndex` — token → record-id postings over the blocking
   attributes, with optional frequency-based stop-token pruning.  Probing
   counts shared tokens through the postings, so ``candidates`` can enforce a
-  ``min_shared`` threshold exactly like the classic
-  :class:`~repro.data.blocking.TokenBlocker`.
+  ``min_shared`` threshold (see
+  :class:`~repro.blocking.blockers.InvertedIndexBlocker`).
 * :class:`MinHashIndex` — banded MinHash signatures (``bands`` × ``rows``
   hashes per record) bucketed per band; two records collide when any band of
   their signatures agrees exactly.  The standard LSH trade-off applies: more

@@ -315,10 +315,10 @@ class StagedPipeline:
         """Score one chunk of pairs: the shared unit of serial *and* parallel work.
 
         This is the exact computation a pool worker runs on its shard — the
-        serial streaming loop, the thread backend and the process backend all
-        call this one method (on the parent pipeline or on a state-identical
-        clone), which is what makes multi-worker output structurally
-        bit-identical to the serial path.
+        serial streaming loop and the process backend both call this one
+        method (on the parent pipeline or on a state-identical clone), which
+        is what makes multi-worker output structurally bit-identical to the
+        serial path.
         """
         self._check_fitted()
         recorder = get_recorder()

@@ -1,4 +1,4 @@
-"""Blocking: candidate-pair generation (classic eager API).
+"""Blocking recall: how much of the ground truth a candidate set keeps.
 
 Comparing every record of one table against every record of the other is
 quadratic and infeasible for real ER workloads, so all the benchmark datasets
@@ -7,105 +7,17 @@ used in the paper are *blocked* first: only pairs that share some cheap signal
 resulting candidate sets are heavily imbalanced — most candidates are still
 non-matches — which is exactly the regime risk analysis operates in.
 
-Since the streaming refactor the real blocking machinery lives in
-:mod:`repro.blocking` (index-backed, bounded-memory, `PairSource`-producing);
-this module keeps the historical eager API as thin wrappers over it:
-
-* :class:`TokenBlocker` — an :class:`~repro.blocking.blockers.InvertedIndexBlocker`
-  with the classic per-table frequency stop-word rule.  Each record is now
-  tokenised once per ``block`` call (the old code tokenised everything twice —
-  once for stop words, once for indexing) with bit-identical output.
-* :class:`SortedNeighbourhoodBlocker` — a
-  :class:`~repro.blocking.blockers.SortedWindowBlocker`.  Missing keys sort
-  via an explicit ``(is_missing, key)`` tuple instead of the old ``"~"``
-  string sentinel, which interleaved wrongly with keys sorting above ``"~"``.
-
-Both return unique, deterministically sorted ``(left_id, right_id)`` pairs —
-sorted so downstream candidate order never depends on ``PYTHONHASHSEED`` —
-and :func:`block_tables` combines them and (optionally) guarantees recall of a
-supplied ground-truth match set so that synthetic workloads keep the same
-*shape* as the paper's pre-blocked benchmark data.
+The blockers themselves live in :mod:`repro.blocking`
+(:class:`~repro.blocking.blockers.InvertedIndexBlocker`,
+:class:`~repro.blocking.blockers.SortedWindowBlocker`, MinHash-LSH), and
+:class:`~repro.blocking.source.BlockingPairSource` unions several of them and
+can guarantee the recall of a supplied match set.  This module keeps the one
+measurement every blocking experiment reports.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
-
-from ..blocking.blockers import InvertedIndexBlocker, SortedWindowBlocker
-from .records import Record, Table
-
-
-class TokenBlocker(InvertedIndexBlocker):
-    """Block on shared tokens drawn from one or more attributes.
-
-    The eager face of :class:`~repro.blocking.blockers.InvertedIndexBlocker`:
-    :meth:`block` materialises the full sorted candidate list, while the
-    inherited streaming API (``iter_wave_candidates`` / ``pair_source``) is
-    available for bounded-memory use.
-
-    Parameters
-    ----------
-    attributes:
-        The attributes whose tokens form the blocking key.
-    min_shared:
-        Minimum number of shared (non-stop) tokens for a pair to be emitted.
-    max_token_frequency:
-        Tokens appearing in more than this fraction of records on either side
-        are treated as stop words and ignored.
-    """
-
-    def __init__(
-        self,
-        attributes: Sequence[str],
-        min_shared: int = 1,
-        max_token_frequency: float = 0.1,
-    ) -> None:
-        super().__init__(
-            attributes, min_shared=min_shared, max_token_frequency=max_token_frequency
-        )
-
-
-class SortedNeighbourhoodBlocker(SortedWindowBlocker):
-    """Block by sorting on a key and pairing records within a sliding window.
-
-    The eager face of :class:`~repro.blocking.blockers.SortedWindowBlocker`.
-
-    Parameters
-    ----------
-    key:
-        Function mapping a record to its sort key (e.g. the first tokens of a
-        title), or an attribute name.  Missing (``None``/empty) keys sort last.
-    window:
-        Number of neighbouring records (from the other table) paired with each
-        record in the merged sort order.
-    """
-
-    def __init__(self, key: Callable[[Record], str] | str, window: int = 5) -> None:
-        super().__init__(key, window=window)
-
-
-def block_tables(
-    left_table: Table,
-    right_table: Table,
-    blockers: Iterable[TokenBlocker | SortedNeighbourhoodBlocker],
-    ensure_matches: Iterable[tuple[str, str]] = (),
-) -> list[tuple[str, str]]:
-    """Run every blocker and return the union of candidate pairs, sorted.
-
-    Parameters
-    ----------
-    ensure_matches:
-        Ground-truth match pairs added to the candidate set even when no
-        blocker emitted them.  This mirrors the paper's use of pre-blocked
-        benchmark workloads whose published match counts include all matches.
-    """
-    candidates: set[tuple[str, str]] = set()
-    for blocker in blockers:
-        candidates.update(blocker.block(left_table, right_table))
-    for left_id, right_id in ensure_matches:
-        if left_id in left_table and right_id in right_table:
-            candidates.add((left_id, right_id))
-    return sorted(candidates)
+from typing import Iterable
 
 
 def blocking_recall(

@@ -18,13 +18,15 @@ non-reverted merge/split in order.  Because cluster naming is deterministic
 (see :mod:`repro.online.cluster`), replay reconstructs the live store
 bit-identically, which is both the revert mechanism and the crash-recovery
 story: a resolver restarted on an existing log resumes from the replayed
-state.
+state.  The one thing reopening a log removes is a torn final line, the
+unacknowledged half-append a crash leaves behind.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -44,6 +46,17 @@ STATE_DECISIONS = ("merge", "split")
 
 def _event_id(sequence: int) -> str:
     return f"evt-{sequence:06d}"
+
+
+def _event_sequence(event_id: str) -> int | None:
+    """The sequence a canonical event id encodes; ``None`` for any other string."""
+    if not isinstance(event_id, str):
+        return None
+    try:
+        sequence = int(event_id.removeprefix("evt-"))
+    except ValueError:
+        return None
+    return sequence if _event_id(sequence) == event_id else None
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,11 @@ class EventLog:
     path:
         Optional JSONL file the log mirrors to.  When the file already
         exists its events are loaded first, so a resolver constructed on an
-        old log continues its sequence (the restart/recovery path).
+        old log continues its sequence (the restart/recovery path).  A final
+        line without its newline is what a crash mid-append leaves behind:
+        it is truncated away with a :class:`RuntimeWarning` naming the
+        dropped byte count.  Any other malformed line raises
+        :class:`~repro.exceptions.DataError`.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -157,7 +174,19 @@ class EventLog:
         self._events: list[ResolutionEvent] = []
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
-            for number, line in enumerate(self.path.read_text().splitlines(), start=1):
+            data = self.path.read_bytes()
+            complete = data.rfind(b"\n") + 1
+            if complete < len(data):
+                with self.path.open("r+b") as handle:
+                    handle.truncate(complete)
+                warnings.warn(
+                    f"event log {self.path}: dropped {len(data) - complete} bytes "
+                    "of a torn final line",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            text = data[:complete].decode("utf-8")
+            for number, line in enumerate(text.splitlines(), start=1):
                 if not line.strip():
                     continue
                 try:
@@ -198,11 +227,11 @@ class EventLog:
             return list(self._events[since:])
 
     def event(self, event_id: str) -> ResolutionEvent:
-        """Look one event up by id."""
+        """Look one event up by id (the id encodes its sequence number)."""
+        sequence = _event_sequence(event_id)
         with self._lock:
-            for event in self._events:
-                if event.event_id == event_id:
-                    return event
+            if sequence is not None and 1 <= sequence <= len(self._events):
+                return self._events[sequence - 1]
         raise DataError(f"unknown event id {event_id!r}")
 
     def reverted_event_ids(self) -> set[str]:

@@ -2,16 +2,16 @@
 
 The execution subsystem of the stack: :class:`ExecutionConfig` describes *how*
 scoring work is fanned out (worker count, pool backend, chunk size, in-flight
-window), :class:`ParallelScoringEngine` does the fanning — process pool for
-throughput, thread pool for small batches, serial fallback — and merges the
-per-chunk :class:`ChunkScores` back **in deterministic source order**, bit-
-identical to the serial path at any worker count and chunk size.
+window), :class:`ParallelScoringEngine` does the fanning — a process pool for
+throughput, serial scoring for small batches — and merges the per-chunk
+:class:`ChunkScores` back **in deterministic source order**, bit-identical to
+the serial path at any worker count and chunk size.
 
 Entry points higher up the stack accept the same knobs directly:
 
 * ``StagedPipeline.analyse_batches(source, workers=4)``
 * ``RiskService.score_source(source, workers=4)``
-* ``python -m repro.serve score --chunk-size 256 --workers 4``
+* ``python -m repro.serve score --workers 4``
 * ``PipelineSpec(execution={"workers": 4})`` → rides along in saved models
 
 See ``benchmarks/bench_parallel_scoring.py`` for the measured scaling and

@@ -42,7 +42,7 @@ class ChunkScores:
         chunk, keyed by in-chunk pair index.
     worker, worker_seconds, rebuild_seconds:
         Telemetry stamped by pool workers (:mod:`repro.parallel.engine`):
-        which worker scored the chunk (``pid-<n>`` / thread name), its scoring
+        which worker process scored the chunk (``pid-<n>``), its scoring
         wall-clock, and — on the first chunk a worker returns — the one-time
         cost of rebuilding its pipeline from state.  Pure observability:
         excluded from :meth:`__eq__`, so the parity contract is untouched.

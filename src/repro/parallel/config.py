@@ -12,19 +12,14 @@ Backends
 ``"serial"``
     No pool at all; chunks are scored in the calling thread with the calling
     pipeline.  This is also what any backend degrades to at ``workers <= 1``.
-``"thread"``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`.  Startup is near-free,
-    so this is the right pool for small batches, but the GIL serialises the
-    pure-Python vectorisation work.
 ``"process"``
     A :class:`~concurrent.futures.ProcessPoolExecutor`; each worker process
     rebuilds the pipeline once from its picklable state and keeps it warm.
     This is the backend that actually multiplies throughput by cores.
 ``"auto"``
     ``"process"``, except for workloads known to be smaller than
-    :attr:`ExecutionConfig.min_process_pairs` (process startup would dominate)
-    and for platforms without working process pools, which fall back to
-    ``"thread"``.
+    :attr:`ExecutionConfig.min_process_pairs`, which run ``"serial"``:
+    there, process startup costs more than the second core buys.
 """
 
 from __future__ import annotations
@@ -35,15 +30,17 @@ from typing import Any, Mapping
 from ..exceptions import ConfigurationError
 
 #: The backends a config may name explicitly.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 #: Process start methods a config may pin (``None`` keeps the platform default).
 START_METHODS = ("fork", "spawn", "forkserver")
 
 #: Below this many pairs (when the source length is known) the ``auto``
-#: backend prefers a thread pool: forking/spawning interpreter processes
-#: costs more than it buys on small batches.
-DEFAULT_MIN_PROCESS_PAIRS = 4096
+#: backend scores serially: forking/spawning interpreter processes costs more
+#: than it buys on small batches.  On a 2-core host a fresh two-worker pool
+#: (start-up included, 256-pair chunks) first beat serial scoring in every
+#: timing pass at 1,024 pairs.
+DEFAULT_MIN_PROCESS_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -56,15 +53,15 @@ class ExecutionConfig:
         Number of pool workers.  ``1`` means serial execution regardless of
         backend.
     backend:
-        ``"auto"``, ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"auto"``, ``"serial"`` or ``"process"``.
     chunk_size:
         Pairs per streamed chunk when the caller does not pass an explicit
         batch/chunk size of its own; ``None`` defers to the call site's
         default.  Output is bit-identical at any chunk size, so this is a
         throughput knob, never a correctness knob.
     min_process_pairs:
-        Known-length workloads smaller than this fall back from ``"auto"``'s
-        process pool to a thread pool.
+        Known-length workloads smaller than this run serially under
+        ``"auto"`` instead of on its process pool.
     start_method:
         Multiprocessing start method for the process backend (``"fork"``,
         ``"spawn"``, ``"forkserver"``); ``None`` keeps the platform default.
@@ -120,15 +117,15 @@ class ExecutionConfig:
     def resolve_backend(self, length: int | None = None) -> str:
         """The concrete backend for a workload of ``length`` pairs (``None`` = unknown).
 
-        ``workers <= 1`` always resolves to ``"serial"``; ``"auto"`` picks a
-        thread pool for known-small workloads and a process pool otherwise.
+        ``workers <= 1`` always resolves to ``"serial"``; ``"auto"`` runs
+        known-small workloads serially and everything else on a process pool.
         """
         if self.workers <= 1:
             return "serial"
         if self.backend != "auto":
             return self.backend
         if length is not None and length < self.min_process_pairs:
-            return "thread"
+            return "serial"
         return "process"
 
     @property

@@ -26,20 +26,16 @@ where the determinism contract lives:
 
 Backends: a :class:`~concurrent.futures.ProcessPoolExecutor` for throughput
 (each worker process initialises its pipeline once and keeps its rule kernel
-warm), a :class:`~concurrent.futures.ThreadPoolExecutor` for small batches
-where process startup would dominate (each thread lazily builds its own
-pipeline clone, so no mutable state is ever shared), and a serial fallback
-that scores with the parent pipeline directly.
+warm), and a serial path that scores with the parent pipeline directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..data.records import RecordPair
@@ -104,13 +100,6 @@ def _score_chunk_in_process(pairs: list[RecordPair], explain_top: int) -> ChunkS
     )
 
 
-class _ThreadWorkerPipelines(threading.local):
-    """One lazily-built pipeline clone per pool thread (never shared)."""
-
-    pipeline: "StagedPipeline | None" = None
-    rebuild_seconds: float = 0.0
-
-
 # ------------------------------------------------------------ parent side
 class ParallelScoringEngine:
     """Deterministically ordered fan-out scoring over a worker pool.
@@ -135,9 +124,7 @@ class ParallelScoringEngine:
         self.pipeline = pipeline
         self.config = config
         self._state: dict | None = None
-        self._executor: Executor | None = None
-        self._executor_backend: str | None = None
-        self._thread_pipelines = _ThreadWorkerPipelines()
+        self._executor: ProcessPoolExecutor | None = None
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
@@ -152,7 +139,6 @@ class ParallelScoringEngine:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-            self._executor_backend = None
         self._closed = True
 
     # ------------------------------------------------------------- internals
@@ -162,55 +148,23 @@ class ParallelScoringEngine:
             self._state = self.pipeline.to_state()
         return self._state
 
-    def _score_in_thread(self, pairs: list[RecordPair], explain_top: int) -> ChunkScores:
-        """Score one chunk with this thread's private pipeline clone."""
-        local = self._thread_pipelines
-        if local.pipeline is None:
-            build_start = time.perf_counter()
-            local.pipeline = _pipeline_from_state(self._pipeline_state())
-            local.rebuild_seconds = time.perf_counter() - build_start
-        start = time.perf_counter()
-        scores = local.pipeline.score_chunk(pairs, explain_top=explain_top)
-        elapsed = time.perf_counter() - start
-        rebuild, local.rebuild_seconds = local.rebuild_seconds, 0.0
-        return dataclasses.replace(
-            scores,
-            worker=threading.current_thread().name,
-            worker_seconds=elapsed,
-            rebuild_seconds=rebuild,
-        )
-
-    def _get_executor(self, backend: str) -> Executor:
+    def _get_executor(self) -> ProcessPoolExecutor:
         if self._closed:
             raise ConfigurationError("ParallelScoringEngine is closed")
-        if self._executor is not None and self._executor_backend != backend:
-            # The resolved backend changed between map_chunks calls (e.g. a
-            # small bounded source after an unbounded one); rebuild the pool.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
         if self._executor is None:
-            if backend == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix="repro-score",
-                )
-            elif backend == "process":
-                import multiprocessing
+            import multiprocessing
 
-                context = (
-                    multiprocessing.get_context(self.config.start_method)
-                    if self.config.start_method is not None
-                    else multiprocessing.get_context()
-                )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    mp_context=context,
-                    initializer=_initialize_process_worker,
-                    initargs=(self._pipeline_state(),),
-                )
-            else:  # pragma: no cover - guarded by resolve_backend
-                raise ConfigurationError(f"cannot build a pool for backend {backend!r}")
-            self._executor_backend = backend
+            context = (
+                multiprocessing.get_context(self.config.start_method)
+                if self.config.start_method is not None
+                else multiprocessing.get_context()
+            )
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.config.workers,
+                mp_context=context,
+                initializer=_initialize_process_worker,
+                initargs=(self._pipeline_state(),),
+            )
         return self._executor
 
     # --------------------------------------------------------------- scoring
@@ -224,7 +178,7 @@ class ParallelScoringEngine:
 
         Empty chunks (legal for custom sources) are skipped, exactly like the
         serial streaming loop.  ``length_hint`` (total pairs, when known)
-        only steers the ``auto`` backend's process-vs-thread choice — never
+        only steers the ``auto`` backend's serial-vs-process choice — never
         the numbers.
         """
         backend = self.config.resolve_backend(length_hint)
@@ -235,11 +189,7 @@ class ParallelScoringEngine:
                 yield chunk, self.pipeline.score_chunk(chunk, explain_top=explain_top)
             return
 
-        executor = self._get_executor(backend)
-        if backend == "thread":
-            submit = lambda chunk: executor.submit(self._score_in_thread, chunk, explain_top)  # noqa: E731
-        else:
-            submit = lambda chunk: executor.submit(_score_chunk_in_process, chunk, explain_top)  # noqa: E731
+        executor = self._get_executor()
 
         # In-order merge with bounded look-ahead: futures are awaited in
         # submission order (so completion order cannot reorder anything) and
@@ -277,7 +227,7 @@ class ParallelScoringEngine:
             for chunk in chunks:
                 if not chunk:
                     continue
-                pending.append((chunk, submit(chunk)))
+                pending.append((chunk, executor.submit(_score_chunk_in_process, chunk, explain_top)))
                 if len(pending) >= window:
                     yield drain_head()
             while pending:

@@ -26,7 +26,7 @@ Quick start::
     save_pipeline(pipeline, "models/ds-v1")
 
     service = RiskService(load_pipeline("models/ds-v1"))
-    for scored in service.score_workload(split.test)[:5]:
+    for scored in service.score_pairs(split.test.pairs[:5]):
         print(scored.pair.pair_id, scored.risk_score)
 """
 

@@ -20,21 +20,23 @@ The subcommands cover the model lifecycle:
     ``--domain`` corpus), candidate id pairs out as CSV, streamed chunk by
     chunk so the candidate set is never held in memory.  The output file uses
     the :mod:`repro.data.io` pair layout, so it can be streamed back through
-    ``score --chunk-size --input``.
+    ``score --input``.
 ``score``
-    Load a saved pipeline, score a workload through :class:`RiskService`
-    (micro-batched, cached) and print serving statistics; ``--output`` writes
-    one CSV row per pair with probability, machine label and risk score.
-    With ``--chunk-size N`` the workload is *streamed*: candidate pairs are
-    pulled from a :class:`~repro.data.sources.PairSource` ``N`` at a time and
-    scored rows are written as they are produced, so a CSV workload of any
-    size scores in memory bounded by the chunk (``--input pairs.csv``
-    optionally points at a specific candidate-pair file in the data
-    directory; ``--source spec.json`` streams from any registered pair
-    source instead — e.g. a ``"blocked"`` source that generates candidates
-    from raw tables on the fly).  ``--workers N`` shards the chunks over a
-    worker pool (:mod:`repro.parallel`): rows still come out in exact source
-    order with bit-identical numbers, just faster on multi-core machines.
+    Load a saved pipeline and stream a workload through :class:`RiskService`
+    (micro-batched, cached): candidate pairs are pulled from a
+    :class:`~repro.data.sources.PairSource` ``--chunk-size`` at a time
+    (default: the batch size) and scored rows are written as they are
+    produced, so a CSV workload of any size scores in memory bounded by the
+    chunk.  ``--output`` writes one CSV row per pair with probability,
+    machine label and risk score; the run prints throughput, the
+    vectorisation-cache hit rate and, on labeled workloads, the risk-ranking
+    AUROC.  ``--input pairs.csv`` points at a specific candidate-pair file in
+    the data directory; ``--source spec.json`` streams from any registered
+    pair source instead — e.g. a ``"blocked"`` source that generates
+    candidates from raw tables on the fly.  ``--workers N`` shards the chunks
+    over a worker pool (:mod:`repro.parallel`): rows still come out in exact
+    source order with bit-identical numbers, just faster on multi-core
+    machines.
 ``inspect``
     Print a saved model's manifest and risk-model summary without scoring.
 ``explain``
@@ -136,8 +138,8 @@ def _load_workload(args: argparse.Namespace, schema: Schema | None = None) -> Wo
     raise SystemExit("provide either --dataset or --data-dir")
 
 
-#: Header of the scored-pair CSV written by ``score`` (both modes), the
-#: streaming benchmark and any other writer that must stay byte-compatible.
+#: Header of the scored-pair CSV written by ``score``, the streaming
+#: benchmark and any other writer that must stay byte-compatible.
 SCORED_CSV_HEADER = ("left_id", "right_id", "probability", "machine_label", "risk_score")
 
 
@@ -219,12 +221,11 @@ def _parse_component_document(text: str, label: str) -> dict:
 
 
 def _load_source(args: argparse.Namespace, schema: Schema) -> PairSource:
-    """The streaming counterpart of :func:`_load_workload`.
+    """The pair source a ``score`` run streams from.
 
-    Backend flags resolve in the same priority order as the eager path
-    (``--source`` first — it names its backend explicitly — then
-    ``--dataset``, then ``--data-dir``), so adding ``--chunk-size`` to an
-    existing command never changes *which* workload is scored.
+    ``--source`` wins (it names its backend explicitly), then ``--dataset``,
+    then ``--data-dir`` — the order :func:`_load_workload` uses for ``fit``
+    and ``explain``.
     """
     if getattr(args, "source", None):
         from ..compose import ComponentSpec
@@ -264,18 +265,19 @@ def _write_metrics(args: argparse.Namespace, metrics: MetricsRegistry | None) ->
         print(f"wrote metrics snapshot to {path}")
 
 
-def _cmd_score_streaming(
-    args: argparse.Namespace, pipeline, metrics: MetricsRegistry | None = None
-) -> int:
-    """Chunked scoring: bounded memory, scored rows written as they stream."""
+def _cmd_score(args: argparse.Namespace) -> int:
+    """Stream a workload through the service: bounded memory, rows written as they score."""
+    pipeline = load_pipeline(args.model)
+    metrics = _metrics_registry(args)
     source = _load_source(args, pipeline.vectorizer.schema)
     service = RiskService(
         pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size,
         metrics=metrics,
     )
-    if args.repeat > 1:
-        print("note: --repeat is ignored in streaming mode (one pass per run)")
-    workers = _effective_workers(args, pipeline)
+    # Resolved here rather than inside score_source so the summary line can
+    # report the chunk size and worker count actually used.
+    execution = pipeline._resolve_execution(args.workers)
+    chunk_size = args.chunk_size or execution.resolve_chunk_size(args.batch_size)
 
     writer = None
     handle = None
@@ -299,7 +301,7 @@ def _cmd_score_streaming(
         # interpreter exits so no process pool is left to atexit teardown.
         with recording, service:
             for scored in service.score_source(
-                source, chunk_size=args.chunk_size, workers=args.workers
+                source, chunk_size=chunk_size, execution=execution
             ):
                 count += 1
                 if writer is not None:
@@ -319,66 +321,7 @@ def _cmd_score_streaming(
     stats = service.stats.snapshot()
     print(
         f"scored {count} pairs from {source.name} "
-        f"(streamed, chunk size {args.chunk_size}, {workers} worker(s))"
-    )
-    print(
-        f"  throughput: {stats['pairs_per_second']:.1f} pairs/s over "
-        f"{int(stats['batches'])} batches (mean batch {stats['mean_batch_size']:.1f})"
-    )
-    if labeled and count > 0:
-        risk_labels = mislabel_indicator(
-            np.asarray(machine_labels, dtype=int), np.asarray(ground_truth, dtype=int)
-        )
-        if 0 < risk_labels.sum() < len(risk_labels):
-            auroc = auroc_score(risk_labels, np.asarray(risk_scores, dtype=float))
-            print(f"  risk ranking AUROC: {auroc:.4f}")
-    _write_metrics(args, metrics)
-    return 0
-
-
-def _effective_workers(args: argparse.Namespace, pipeline) -> int:
-    """The worker count a score run will use (CLI flag, else the model's spec)."""
-    if args.workers is not None:
-        return args.workers
-    execution = getattr(pipeline, "execution", None)
-    return execution.workers if execution is not None else 1
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    pipeline = load_pipeline(args.model)
-    metrics = _metrics_registry(args)
-    if args.chunk_size:
-        return _cmd_score_streaming(args, pipeline, metrics)
-    if args.input:
-        raise SystemExit("--input requires --chunk-size (it selects the streamed pair file)")
-    if args.source:
-        raise SystemExit("--source requires --chunk-size (pair sources are streamed)")
-    workload = _load_workload(args, schema=pipeline.vectorizer.schema)
-    service = RiskService(
-        pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size,
-        metrics=metrics,
-    )
-    workers = _effective_workers(args, pipeline)
-    recording = use_recorder(metrics) if metrics is not None else nullcontext()
-    results = []
-    with recording, service:  # releases the multi-worker pool, if one was used
-        for _ in range(args.repeat):
-            results = service.score_workload(workload, workers=args.workers)
-
-    if args.output:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        with output.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(SCORED_CSV_HEADER)
-            for scored in results:
-                writer.writerow(scored_csv_row(scored))
-        print(f"wrote {len(results)} scored pairs to {output}")
-
-    stats = service.stats.snapshot()
-    print(
-        f"scored {len(results)} pairs from {workload.name} "
-        f"(x{args.repeat} passes, {workers} worker(s))"
+        f"(streamed, chunk size {chunk_size}, {execution.workers} worker(s))"
     )
     print(
         f"  throughput: {stats['pairs_per_second']:.1f} pairs/s over "
@@ -388,12 +331,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         f"  vectorisation cache: {stats['cache_hit_rate']:.1%} hit rate "
         f"({int(stats['cache_hits'])} hits / {int(stats['cache_misses'])} misses)"
     )
-    if workload.is_labeled and len(workload) > 0:
-        machine_labels = np.array([scored.machine_label for scored in results], dtype=int)
-        risk_scores = np.array([scored.risk_score for scored in results], dtype=float)
-        risk_labels = mislabel_indicator(machine_labels, workload.labels())
+    if labeled and count > 0:
+        risk_labels = mislabel_indicator(
+            np.asarray(machine_labels, dtype=int), np.asarray(ground_truth, dtype=int)
+        )
         if 0 < risk_labels.sum() < len(risk_labels):
-            print(f"  risk ranking AUROC: {auroc_score(risk_labels, risk_scores):.4f}")
+            auroc = auroc_score(risk_labels, np.asarray(risk_scores, dtype=float))
+            print(f"  risk ranking AUROC: {auroc:.4f}")
     _write_metrics(args, metrics)
     return 0
 
@@ -789,20 +733,18 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--output", help="CSV file for the per-pair scores")
     score.add_argument("--batch-size", type=_positive_int, default=256)
     score.add_argument("--cache-size", type=int, default=4096)
-    score.add_argument("--repeat", type=_positive_int, default=1,
-                       help="score the workload this many times (cache warm-up)")
     score.add_argument("--chunk-size", type=_positive_int, default=None,
-                       help="stream the workload in chunks of this many pairs "
-                            "(bounded-memory mode; rows are written as they score)")
+                       help="pairs pulled from the workload per chunk; memory stays "
+                            "bounded by one chunk (default: the model spec's "
+                            "execution chunk size, else --batch-size)")
     score.add_argument("--input",
                        help="candidate-pair CSV streamed instead of <name>_pairs.csv "
-                            "(requires --data-dir and --chunk-size)")
+                            "(requires --data-dir)")
     score.add_argument("--source",
                        help="pair-source component spec (JSON file or inline JSON, "
                             "{\"kind\": ..., \"params\": {...}}) streamed instead of "
                             "--dataset/--data-dir; e.g. a 'blocked' source that "
-                            "generates candidates from raw tables (requires "
-                            "--chunk-size)")
+                            "generates candidates from raw tables")
     score.add_argument("--workers", type=_positive_int, default=None,
                        help="score with this many pool workers (sharded, deterministic "
                             "order, bit-identical output; default: the model spec's "

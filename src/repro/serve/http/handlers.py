@@ -23,12 +23,12 @@ here invents behaviour:
   built with an online policy (``503`` otherwise): post records, read the
   clusters they merged into, tail the audit log, revert a decision.
 
-Blocking work (scoring, explaining, loading a model directory from disk) runs
-in the event loop's executor so one slow request never stalls the accept
-loop.  Handlers return ``(status, payload)``; raising
-:class:`~repro.serve.http.protocol.HttpError` (or any
-:class:`~repro.exceptions.ReproError`, mapped to 400) produces a JSON error
-response.
+Blocking work (scoring, explaining, loading a model directory from disk, and
+every call that takes the resolver lock) runs in the event loop's executor so
+one slow request never stalls the accept loop.  Handlers return
+``(status, payload)``; raising :class:`~repro.serve.http.protocol.HttpError`
+(or any :class:`~repro.exceptions.ReproError`, mapped to 400) produces a JSON
+error response.
 """
 
 from __future__ import annotations
@@ -164,7 +164,9 @@ async def handle_cluster(state: AppState, request: HttpRequest) -> tuple[int, di
     resolver = _resolver(state)
     key = request.path_params["id"]
     try:
-        members = resolver.cluster_of(key)
+        # cluster_of takes the resolver lock, which a /resolve holds for a
+        # whole decision; waiting for it here would stall the event loop.
+        members = await _in_executor(resolver.cluster_of, key)
     except DataError as exc:
         raise HttpError(404, str(exc)) from exc
     return 200, schemas.envelope(id=key, cluster=members)
@@ -198,10 +200,8 @@ async def handle_revert(state: AppState, request: HttpRequest) -> tuple[int, dic
     if not isinstance(event_id, str) or not event_id:
         raise HttpError(400, "'event_id' must be a non-empty string")
     event = await _in_executor(resolver.revert, event_id)
-    return 200, schemas.envelope(
-        event=event.to_dict(),
-        clusters=resolver.state_dict(),
-    )
+    clusters = await _in_executor(resolver.state_dict)
+    return 200, schemas.envelope(event=event.to_dict(), clusters=clusters)
 
 
 # --------------------------------------------------------------------- stats

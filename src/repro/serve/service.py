@@ -25,17 +25,17 @@ All public methods are thread-safe; a single lock serialises scoring, which
 keeps the numpy pipeline components (which are not re-entrant during a forward
 pass) safe under concurrent callers.
 
-**Multi-worker scoring.**  :meth:`RiskService.score_source` (and
-:meth:`score_workload`) accept ``workers=N`` / an
-:class:`~repro.parallel.config.ExecutionConfig` and route chunks through the
-:class:`~repro.parallel.engine.ParallelScoringEngine`, which shards them over
-a process pool (thread pool for small batches) and merges results back in
-source order, bit-identical to the serial path.  The service itself is never
-shipped to workers — it holds a lock and a mutable LRU cache, both of which
-are process-local by design; workers rebuild the *pipeline* from its
-picklable state instead.  Parallel passes therefore bypass the vectorisation
-cache; the statistics count those pairs separately (``cache_bypassed``) so
-the hit rate keeps describing only lookups the cache actually served.
+**Multi-worker scoring.**  :meth:`RiskService.score_source` accepts
+``workers=N`` / an :class:`~repro.parallel.config.ExecutionConfig` and routes
+chunks through the :class:`~repro.parallel.engine.ParallelScoringEngine`,
+which shards them over a process pool (small known-length sources stay
+serial) and merges results back in source order, bit-identical to the serial
+path.  The service itself is never shipped to workers — it holds a lock and a
+mutable LRU cache, both of which are process-local by design; workers rebuild
+the *pipeline* from its picklable state instead.  Parallel passes therefore
+bypass the vectorisation cache; the statistics count those pairs separately
+(``cache_bypassed``) so the hit rate keeps describing only lookups the cache
+actually served.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..compose.staged import StagedPipeline
 from ..data.records import RecordPair
-from ..data.sources import PairSource, as_pair_source
+from ..data.sources import PairSource
 from ..data.workload import Workload
 from ..exceptions import ConfigurationError, NotFittedError
 from ..obs import MetricsRegistry
@@ -80,9 +80,8 @@ class ScoredPair:
 class ServiceStats:
     """Serving counters backed by a :class:`~repro.obs.MetricsRegistry`.
 
-    The legacy attribute surface (``stats.cache_hits``, ``stats.snapshot()``
-    and friends) is unchanged, but the storage is now a metrics registry —
-    pass the registry the rest of the process records into (e.g. the one
+    The ``record_*`` methods write; :meth:`snapshot` is the one read.  Pass
+    the registry the rest of the process records into (e.g. the one
     installed with :func:`repro.obs.use_recorder`) and one JSON snapshot
     carries the serving counters next to the pipeline's span timings.  All
     counters live under the ``service.`` prefix; batch latencies additionally
@@ -124,66 +123,13 @@ class ServiceStats:
         """Track the vectoriser's corpus-index size as a gauge."""
         self.registry.gauge("service.corpus_index_entries", entries)
 
-    @property
-    def pairs_scored(self) -> int:
-        return int(self.registry.counter_value("service.pairs_scored"))
-
-    @property
-    def batches(self) -> int:
-        return int(self.registry.counter_value("service.batches"))
-
-    @property
-    def largest_batch(self) -> int:
-        return int(self.registry.gauge_value("service.largest_batch"))
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self.registry.counter_value("service.cache_hits"))
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self.registry.counter_value("service.cache_misses"))
-
-    @property
-    def cache_bypassed(self) -> int:
-        """Pairs scored on paths that never consulted the cache."""
-        return int(self.registry.counter_value("service.cache_bypassed"))
-
-    @property
-    def corpus_index_entries(self) -> int:
-        """Distinct values currently interned by the vectoriser's corpus index."""
-        return int(self.registry.gauge_value("service.corpus_index_entries"))
-
-    @property
-    def scoring_seconds(self) -> float:
-        return float(self.registry.counter_value("service.scoring_seconds"))
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of actual vectorisation lookups served from the cache.
-
-        Bypassing paths (multi-worker scoring, which vectorises inside the
-        workers) are excluded: they never looked the pairs up, so counting
-        them as misses would dilute the rate of the cache that *was* used.
-        """
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def pairs_per_second(self) -> float:
-        """Scored pairs per second of scoring wall-clock."""
-        if self.scoring_seconds <= 0.0:
-            return 0.0
-        return self.pairs_scored / self.scoring_seconds
-
-    @property
-    def mean_batch_size(self) -> float:
-        return self.pairs_scored / self.batches if self.batches else 0.0
-
     def snapshot(self) -> dict[str, float]:
         """A point-in-time copy of the counters plus derived rates.
 
-        All values come from *one* consistent registry read
+        ``cache_hit_rate`` covers only lookups the LRU cache served: pairs
+        that bypassed it (multi-worker scoring vectorises inside the workers)
+        count in ``cache_bypassed``, never as misses.  All values come from
+        *one* consistent registry read
         (:meth:`~repro.obs.MetricsRegistry.values`), so a snapshot taken while
         other threads are recording batches is internally consistent: derived
         rates (mean batch size, hit rate, throughput) are computed from
@@ -516,24 +462,3 @@ class RiskService:
                     machine_label=int(scores.machine_labels[index]),
                     risk_score=float(scores.risk_scores[index]),
                 )
-
-    def score_workload(
-        self,
-        workload: Workload | PairSource,
-        workers: int | None = None,
-        execution: ExecutionConfig | None = None,
-    ) -> list[ScoredPair]:
-        """Score every pair of a workload (or bounded source) through the serving path.
-
-        ``workers`` / ``execution`` route the whole workload through the
-        multi-worker streaming path (chunked at ``max_batch_size``); the
-        returned list is identical — order and numbers — to the serial one.
-        """
-        config = self.pipeline._resolve_execution(workers, execution)
-        if isinstance(workload, PairSource):
-            return list(self.score_source(workload, workers=config.workers, execution=config))
-        if config.resolve_backend(len(workload.pairs)) != "serial":
-            return list(self.score_source(
-                as_pair_source(workload), workers=config.workers, execution=config
-            ))
-        return self.score_pairs(workload.pairs)

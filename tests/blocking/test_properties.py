@@ -6,10 +6,10 @@ Two properties anchor the refactor:
   no matter how many bands an index uses (prefix-stable per-band seeding), so
   adding bands only ever adds buckets — the candidate set grows as a superset
   and recall can only rise.
-* **The inverted-index blocker is the token blocker.**  On generated corpora
-  across domains, seeds and parameters, the streamed candidates collected and
-  sorted are bit-identical to the classic ``TokenBlocker.block`` output (which
-  itself is parity-locked to the historical algorithm in
+* **Streaming is the eager block.**  The inverted-index blocker's streamed
+  candidates, collected and sorted, are bit-identical to its ``block`` output
+  at every chunk size (which itself is parity-locked to the historical token
+  blocker, across domains, seeds and parameters, in
   ``tests/data/test_blocking.py``).
 """
 
@@ -23,7 +23,7 @@ from repro.blocking import (
     MinHashLSHBlocker,
     TableCorpus,
 )
-from repro.data.blocking import TokenBlocker, blocking_recall
+from repro.data.blocking import blocking_recall
 from repro.data.generators import GenerationConfig, generate_workload, make_generator
 from repro.data.records import MATCH
 
@@ -72,23 +72,7 @@ class TestLshRecallMonotoneInBands:
         assert strict_set <= loose_set
 
 
-class TestInvertedMatchesTokenBlockerBitForBit:
-    @pytest.mark.parametrize("domain", ["bibliographic", "product", "software", "song"])
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("min_shared,max_frequency", [(1, 0.1), (2, 0.3), (2, 0.05)])
-    def test_block_output_identical(self, domain, seed, min_shared, max_frequency):
-        workload = _workload(domain, seed)
-        attribute = _TEXT_ATTRIBUTE[domain]
-        streaming = InvertedIndexBlocker(
-            [attribute], min_shared=min_shared, max_token_frequency=max_frequency
-        )
-        classic = TokenBlocker(
-            [attribute], min_shared=min_shared, max_token_frequency=max_frequency
-        )
-        assert streaming.block(workload.left_table, workload.right_table) == classic.block(
-            workload.left_table, workload.right_table
-        )
-
+class TestStreamedMatchesBlock:
     def test_streamed_chunks_recompose_to_block(self):
         workload = _workload("bibliographic", 11)
         matches = [p.pair_id for p in workload.pairs if p.ground_truth == MATCH]

@@ -130,18 +130,18 @@ class TestLabelStreamingParity:
 
 
 class TestServiceStreamingParity:
-    def test_score_source_matches_score_workload(self, fitted, ds_split):
+    def test_score_source_matches_score_pairs(self, fitted, ds_split):
         service = RiskService(fitted, max_batch_size=64, cache_size=0)
-        eager = service.score_workload(ds_split.test)
+        eager = service.score_pairs(ds_split.test.pairs)
         streamed = list(service.score_source(InMemorySource(ds_split.test), chunk_size=150))
         assert [s.pair.pair_id for s in streamed] == [s.pair.pair_id for s in eager]
         np.testing.assert_array_equal(
             [s.risk_score for s in streamed], [s.risk_score for s in eager]
         )
 
-    def test_score_workload_accepts_source(self, fitted, ds_split):
+    def test_score_source_accepts_workload(self, fitted, ds_split):
         service = RiskService(fitted, max_batch_size=64, cache_size=0)
-        direct = service.score_workload(InMemorySource(ds_split.test))
+        direct = list(service.score_source(ds_split.test))
         assert len(direct) == len(ds_split.test)
 
     def test_score_source_rejects_invalid_chunk_size(self, fitted, ds_split):

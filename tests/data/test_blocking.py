@@ -1,9 +1,11 @@
-"""Unit tests for the blocking strategies.
+"""Eager blocking (``Blocker.block``) and its parity with the historical blockers.
 
-Since the streaming refactor the blockers here are thin wrappers over
-:mod:`repro.blocking`; the reference-parity classes at the bottom pin their
-output bit-for-bit to inline copies of the historical algorithms, so the
-wrappers can never drift from what the repo's golden data was built with.
+The token and sorted-neighbourhood blockers the repo's golden data was built
+with are gone from ``src/``; :class:`~repro.blocking.InvertedIndexBlocker`
+and :class:`~repro.blocking.SortedWindowBlocker` replaced them.  The
+reference-parity classes at the bottom pin the replacements' output bit for
+bit to inline, verbatim copies of the historical algorithms, so they can
+never drift from what that data was built with.
 """
 
 from __future__ import annotations
@@ -12,12 +14,9 @@ from collections import defaultdict
 
 import pytest
 
-from repro.data.blocking import (
-    SortedNeighbourhoodBlocker,
-    TokenBlocker,
-    block_tables,
-    blocking_recall,
-)
+from repro.blocking import InvertedIndexBlocker, SortedWindowBlocker
+from repro.data.blocking import blocking_recall
+from repro.data.generators import GenerationConfig, generate_workload, make_generator
 from repro.data.records import Record, Table
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.exceptions import ConfigurationError
@@ -46,10 +45,10 @@ def product_tables():
     return left, right
 
 
-class TestTokenBlocker:
+class TestInvertedIndexBlock:
     def test_shared_token_pairs_found(self, product_tables):
         left, right = product_tables
-        blocker = TokenBlocker(["name"], min_shared=1, max_token_frequency=1.0)
+        blocker = InvertedIndexBlocker(["name"], min_shared=1, max_token_frequency=1.0)
         pairs = blocker.block(left, right)
         assert ("l1", "r1") in pairs
         assert ("l2", "r2") in pairs
@@ -57,22 +56,22 @@ class TestTokenBlocker:
 
     def test_min_shared_filters(self, product_tables):
         left, right = product_tables
-        strict = TokenBlocker(["name"], min_shared=2, max_token_frequency=1.0)
+        strict = InvertedIndexBlocker(["name"], min_shared=2, max_token_frequency=1.0)
         pairs = strict.block(left, right)
         assert ("l2", "r2") in pairs  # shares "panasonic" and "lumix" and "camera"
         assert ("l1", "r1") in pairs  # shares "sony" and "bravia"
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
-            TokenBlocker([], min_shared=1)
+            InvertedIndexBlocker([], min_shared=1)
         with pytest.raises(ConfigurationError):
-            TokenBlocker(["name"], min_shared=0)
+            InvertedIndexBlocker(["name"], min_shared=0)
         with pytest.raises(ConfigurationError):
-            TokenBlocker(["name"], max_token_frequency=0.0)
+            InvertedIndexBlocker(["name"], max_token_frequency=0.0)
 
     def test_output_deterministically_sorted(self, product_tables):
         left, right = product_tables
-        blocker = TokenBlocker(["name"], min_shared=1, max_token_frequency=1.0)
+        blocker = InvertedIndexBlocker(["name"], min_shared=1, max_token_frequency=1.0)
         pairs = blocker.block(left, right)
         assert isinstance(pairs, list)
         assert pairs == sorted(pairs)
@@ -82,23 +81,23 @@ class TestTokenBlocker:
         # The candidate order must not depend on set/hash iteration order:
         # repeated runs in the same process (different hash values for fresh
         # string objects) must agree exactly.
-        blocker = TokenBlocker(["title"], min_shared=2, max_token_frequency=0.3)
+        blocker = InvertedIndexBlocker(["title"], min_shared=2, max_token_frequency=0.3)
         first = blocker.block(ds_workload.left_table, ds_workload.right_table)
         second = blocker.block(ds_workload.left_table, ds_workload.right_table)
         assert first == second == sorted(first)
 
 
-class TestSortedNeighbourhoodBlocker:
+class TestSortedWindowBlock:
     def test_window_pairs_nearby_records(self, product_tables):
         left, right = product_tables
-        blocker = SortedNeighbourhoodBlocker(key=lambda record: record["name"] or "", window=3)
+        blocker = SortedWindowBlocker(key=lambda record: record["name"] or "", window=3)
         pairs = blocker.block(left, right)
         assert all(left_id.startswith("l") and right_id.startswith("r") for left_id, right_id in pairs)
         assert len(pairs) > 0
 
     def test_output_deterministically_sorted(self, product_tables):
         left, right = product_tables
-        blocker = SortedNeighbourhoodBlocker(key=lambda record: record["name"] or "", window=3)
+        blocker = SortedWindowBlocker(key=lambda record: record["name"] or "", window=3)
         pairs = blocker.block(left, right)
         assert isinstance(pairs, list)
         assert pairs == sorted(pairs)
@@ -106,17 +105,10 @@ class TestSortedNeighbourhoodBlocker:
 
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
-            SortedNeighbourhoodBlocker(key=lambda record: "", window=0)
+            SortedWindowBlocker(key=lambda record: "", window=0)
 
 
-class TestBlockTables:
-    def test_union_and_ensured_matches(self, product_tables):
-        left, right = product_tables
-        blocker = TokenBlocker(["name"], min_shared=1, max_token_frequency=1.0)
-        candidates = block_tables(left, right, [blocker], ensure_matches=[("l3", "r3")])
-        assert ("l3", "r3") in candidates
-        assert candidates == sorted(candidates)
-
+class TestBlockingRecall:
     def test_recall(self):
         candidates = [("l1", "r1"), ("l2", "r2")]
         assert blocking_recall(candidates, [("l1", "r1")]) == 1.0
@@ -125,7 +117,7 @@ class TestBlockTables:
 
     def test_blocking_on_generated_workload_has_high_recall(self, ds_workload):
         left, right = ds_workload.left_table, ds_workload.right_table
-        blocker = TokenBlocker(["title"], min_shared=2, max_token_frequency=0.3)
+        blocker = InvertedIndexBlocker(["title"], min_shared=2, max_token_frequency=0.3)
         candidates = blocker.block(left, right)
         matches = [pair.pair_id for pair in ds_workload.pairs if pair.ground_truth == 1]
         assert blocking_recall(candidates, matches) > 0.7
@@ -182,13 +174,13 @@ def _legacy_sorted_neighbourhood_block(key, window, left_table, right_table):
     return sorted(pairs)
 
 
-class TestTokenBlockerLegacyParity:
-    """The streaming-backed TokenBlocker is bit-identical to the old algorithm."""
+class TestInvertedIndexLegacyParity:
+    """InvertedIndexBlocker is bit-identical to the historical token blocker."""
 
     @pytest.mark.parametrize("min_shared,max_frequency", [(1, 1.0), (1, 0.1), (2, 0.3)])
     def test_parity_on_product_tables(self, product_tables, min_shared, max_frequency):
         left, right = product_tables
-        blocker = TokenBlocker(
+        blocker = InvertedIndexBlocker(
             ["name"], min_shared=min_shared, max_token_frequency=max_frequency
         )
         assert blocker.block(left, right) == _legacy_token_block(
@@ -198,11 +190,28 @@ class TestTokenBlockerLegacyParity:
     @pytest.mark.parametrize("min_shared,max_frequency", [(1, 0.1), (2, 0.3), (3, 0.05)])
     def test_parity_on_generated_workload(self, ds_workload, min_shared, max_frequency):
         left, right = ds_workload.left_table, ds_workload.right_table
-        blocker = TokenBlocker(
+        blocker = InvertedIndexBlocker(
             ["title", "authors"], min_shared=min_shared, max_token_frequency=max_frequency
         )
         assert blocker.block(left, right) == _legacy_token_block(
             ["title", "authors"], min_shared, max_frequency, left, right
+        )
+
+    @pytest.mark.parametrize("domain,attribute", [
+        ("bibliographic", "title"), ("product", "name"), ("software", "title"), ("song", "title"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("min_shared,max_frequency", [(1, 0.1), (2, 0.3), (2, 0.05)])
+    def test_parity_across_domains(self, domain, attribute, seed, min_shared, max_frequency):
+        workload = generate_workload(
+            make_generator(domain), GenerationConfig(n_base_entities=60, seed=seed), "prop"
+        )
+        left, right = workload.left_table, workload.right_table
+        blocker = InvertedIndexBlocker(
+            [attribute], min_shared=min_shared, max_token_frequency=max_frequency
+        )
+        assert blocker.block(left, right) == _legacy_token_block(
+            [attribute], min_shared, max_frequency, left, right
         )
 
     def test_records_tokenized_once_per_block(self, product_tables, monkeypatch):
@@ -221,19 +230,19 @@ class TestTokenBlockerLegacyParity:
         monkeypatch.setattr(index_module, "record_token_set", counting)
         monkeypatch.setattr("repro.blocking.blockers.record_token_set", counting)
         left, right = product_tables
-        TokenBlocker(["name"], max_token_frequency=1.0).block(left, right)
+        InvertedIndexBlocker(["name"], max_token_frequency=1.0).block(left, right)
         assert sorted(calls) == sorted(
             [record.record_id for record in left] + [record.record_id for record in right]
         )
 
 
-class TestSortedNeighbourhoodLegacyParity:
+class TestSortedWindowLegacyParity:
     def test_parity_for_keys_below_tilde(self, ds_workload):
         # For ordinary (ASCII, below-"~") keys the explicit missing-key sort
         # tuple produces exactly the historical order.
         left, right = ds_workload.left_table, ds_workload.right_table
         key = lambda record: (record["title"] or "")[:8].lower() or None  # noqa: E731
-        blocker = SortedNeighbourhoodBlocker(key, window=5)
+        blocker = SortedWindowBlocker(key, window=5)
         assert blocker.block(left, right) == _legacy_sorted_neighbourhood_block(
             key, 5, left, right
         )
@@ -252,7 +261,7 @@ class TestSortedNeighbourhoodLegacyParity:
         right.add(Record("r-omega", {"name": "Ωmega systems handbook"}))
         right.add(Record("r-zz", {"name": "zz last ascii entry"}))
         key = lambda record: record["name"]  # noqa: E731
-        pairs = SortedNeighbourhoodBlocker(key, window=1).block(left, right)
+        pairs = SortedWindowBlocker(key, window=1).block(left, right)
         legacy = _legacy_sorted_neighbourhood_block(key, 1, left, right)
         # Real keys are now contiguous: "zz" is window-adjacent to the first
         # "Ω" record.  Under the legacy sentinel the missing-key record sat
@@ -275,7 +284,7 @@ class TestSortedNeighbourhoodLegacyParity:
         left.add(Record("l-a", {"name": "alpha"}))
         right.add(Record("r-none", {"name": None}))
         right.add(Record("r-a", {"name": "alpha"}))
-        blocker = SortedNeighbourhoodBlocker(lambda record: record["name"], window=1)
+        blocker = SortedWindowBlocker(lambda record: record["name"], window=1)
         pairs = blocker.block(left, right)
         assert ("l-a", "r-a") in pairs
         assert ("l-empty", "r-none") in pairs  # both missing => adjacent

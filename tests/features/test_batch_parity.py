@@ -63,9 +63,9 @@ class TestBitParity:
             assert np.array_equal(row, batched_vectorizer.transform_pair(pair))
 
     def test_concurrent_workers_share_one_index(self, ds_workload, scoring_sample):
-        # Two threads hammering one vectoriser model the parallel scoring
-        # engine's thread backend; the corpus-index lock must keep every row
-        # bit-identical to the serial result.
+        # Two threads hammering one vectoriser model concurrent callers of one
+        # served pipeline (the HTTP tier's executor threads); the corpus-index
+        # lock must keep every row bit-identical to the serial result.
         serial = PairVectorizer(ds_workload.left_table.schema).fit_workload(ds_workload)
         expected = serial.transform(scoring_sample)
         shared = PairVectorizer(ds_workload.left_table.schema).fit_workload(ds_workload)

@@ -70,7 +70,7 @@ class TestScoringParity:
                 report.risk_scores
                 for report in obs_pipeline.analyse_batches(
                     workload, batch_size=16,
-                    execution=ExecutionConfig(workers=2, backend="thread"),
+                    execution=ExecutionConfig(workers=2, backend="process"),
                 )
             ])
         assert np.array_equal(parallel, serial)
@@ -78,7 +78,7 @@ class TestScoringParity:
         assert registry.counter_value("parallel.pairs") == len(pairs)
         assert registry.histogram("parallel.worker_chunk_seconds").count == 4
         assert registry.histogram("parallel.queue_depth").count == 4
-        # The thread backend stamps thread names; at least one per-worker
+        # The process backend stamps worker pids; at least one per-worker
         # histogram must exist and their chunk counts must sum to the total.
         per_worker = [
             stats for name, stats in registry.snapshot()["histograms"].items()
@@ -86,6 +86,36 @@ class TestScoringParity:
         ]
         assert per_worker
         assert sum(stats["count"] for stats in per_worker) == 4
+
+    def test_auto_backend_scores_known_small_workloads_serially(
+        self, obs_pipeline, obs_split
+    ):
+        pairs = obs_split.test.pairs[:60]
+        workload = Workload(
+            "obs-auto", pairs, obs_split.test.left_table, obs_split.test.right_table
+        )
+        serial = list(obs_pipeline.analyse_batches(workload, batch_size=16))
+        registry = MetricsRegistry()
+        with use_recorder(registry):
+            auto = list(obs_pipeline.analyse_batches(
+                workload, batch_size=16, execution=ExecutionConfig(workers=2)
+            ))
+        assert len(pairs) < ExecutionConfig(workers=2).min_process_pairs
+        assert len(auto) == len(serial)
+        for expected, actual in zip(serial, auto):
+            assert np.array_equal(actual.risk_scores, expected.risk_scores)
+            assert np.array_equal(actual.machine_probabilities, expected.machine_probabilities)
+            assert np.array_equal(actual.machine_labels, expected.machine_labels)
+        # No pool ran: the engine's merge telemetry is absent altogether.
+        snapshot = registry.snapshot()
+        recorded = [
+            name
+            for section in ("counters", "gauges", "histograms")
+            for name in snapshot[section]
+            if name.startswith("parallel.")
+        ]
+        assert recorded == []
+        assert registry.counter_value("pipeline.pairs_scored") == len(pairs)
 
 
 class TestExplainPayloads:
@@ -181,18 +211,20 @@ class TestServiceAccounting:
         )
         service = RiskService(obs_pipeline, max_batch_size=10, cache_size=64)
         # Two serial passes: the second is all cache hits.
-        service.score_workload(workload)
-        service.score_workload(workload)
-        rate_before = service.stats.cache_hit_rate
+        service.score_pairs(workload.pairs)
+        service.score_pairs(workload.pairs)
+        rate_before = service.stats.snapshot()["cache_hit_rate"]
         assert rate_before == pytest.approx(0.5)
         # A parallel pass never consults the cache — it must land in
         # cache_bypassed, leaving the hit rate over real lookups untouched.
-        list(service.score_source(
-            InMemorySource(workload, name="obs-service"), chunk_size=10,
-            execution=ExecutionConfig(workers=2, backend="thread"),
-        ))
-        assert service.stats.cache_bypassed == len(pairs)
-        assert service.stats.cache_hit_rate == pytest.approx(rate_before)
+        with service:
+            list(service.score_source(
+                InMemorySource(workload, name="obs-service"), chunk_size=10,
+                execution=ExecutionConfig(workers=2, backend="process"),
+            ))
+        stats = service.stats.snapshot()
+        assert stats["cache_bypassed"] == len(pairs)
+        assert stats["cache_hit_rate"] == pytest.approx(rate_before)
 
     def test_service_metrics_registry_carries_counters_and_latency(
         self, obs_pipeline, obs_split
@@ -203,11 +235,11 @@ class TestServiceAccounting:
         )
         registry = MetricsRegistry()
         service = RiskService(obs_pipeline, max_batch_size=8, metrics=registry)
-        service.score_workload(workload)
+        service.score_pairs(workload.pairs)
         assert registry.counter_value("service.pairs_scored") == len(pairs)
         assert registry.counter_value("service.batches") == 3
         assert registry.histogram("service.batch_seconds").count == 3
         assert registry.gauge_value("service.largest_batch") == 8
-        # The legacy surface reads through to the same registry.
-        assert service.stats.pairs_scored == len(pairs)
+        # The stats snapshot reads through to the same registry.
+        assert service.stats.snapshot()["pairs_scored"] == len(pairs)
         assert service.stats.snapshot()["batches"] == 3

@@ -89,6 +89,16 @@ def test_event_lookup_and_reverted_ids():
     assert log.reverted_event_ids() == {merge.event_id}
 
 
+def test_event_lookup_is_by_sequence():
+    log = EventLog()
+    events = [append_pair_event(log, "escalate", "a", f"b{index}") for index in range(12)]
+    for event in events:
+        assert log.event(event.event_id) is event
+    for bad in ("evt-000000", "evt-1", "evt-abc", "x", "evt-000013"):
+        with pytest.raises(DataError, match="unknown event id"):
+            log.event(bad)
+
+
 def test_file_mirroring_and_reload(tmp_path):
     path = tmp_path / "events.jsonl"
     log = EventLog(path)
@@ -120,6 +130,25 @@ def test_corrupt_log_files_rejected(tmp_path):
     gap.write_text(first.to_json_line() + skipped.to_json_line())
     with pytest.raises(DataError, match="not contiguous"):
         EventLog(gap)
+
+
+def test_torn_final_line_is_truncated_on_reload(tmp_path):
+    # A crash mid-append leaves a final line with no newline; reopening the
+    # log drops exactly those bytes so the resolver can restart.
+    path = tmp_path / "events.jsonl"
+    log = EventLog(path)
+    for right in ("b", "c", "d"):
+        append_pair_event(log, "merge", "a", right)
+    complete = path.read_bytes()
+    fourth = ResolutionEvent.from_dict({**log.event("evt-000003").to_dict(), "sequence": 4})
+    path.write_bytes(complete + fourth.to_json_line().encode()[:40])
+
+    with pytest.warns(RuntimeWarning, match="dropped 40 bytes"):
+        reloaded = EventLog(path)
+    assert [event.to_dict() for event in reloaded] == [event.to_dict() for event in log]
+    assert path.read_bytes() == complete
+    assert append_pair_event(reloaded, "split", "a", "e").event_id == "evt-000004"
+    assert len(EventLog(path)) == 4
 
 
 def test_replay_applies_merges_and_splits_and_honours_reverts():

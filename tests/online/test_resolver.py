@@ -150,8 +150,8 @@ def test_explaining_resolver_scores_each_pair_once(service, ds_workload):
     resolver = OnlineResolver(fresh, replace(POLICY, explain=True, top_rules=2))
     records = stream_records(ds_workload, per_side=20)
     events = [event for record in records for event in resolver.add_record(record)]
-    stats = fresh.stats
-    assert stats.pairs_scored == len(events) == stats.cache_hits + stats.cache_misses
+    stats = fresh.stats.snapshot()
+    assert stats["pairs_scored"] == len(events) == stats["cache_hits"] + stats["cache_misses"]
     by_key = {record_key(record): record for record in records}
     reference = RiskService(service.pipeline).score_pairs(
         [RecordPair(by_key[event.left_key], by_key[event.right_key]) for event in events]
@@ -178,6 +178,22 @@ def test_restart_resumes_from_persisted_log(resolved, service):
     assert state_bytes(restarted.state_dict()) == state_bytes(
         resolved.resolver.state_dict()
     )
+
+
+def test_restart_after_a_torn_log_tail(resolved, service, tmp_path):
+    lines = resolved.path.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 4
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(b"".join(lines[:3]))
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(b"".join(lines[:3]) + lines[3][:40])
+    with pytest.warns(RuntimeWarning, match="dropped 40 bytes"):
+        log = EventLog(torn)
+    assert len(log) == 3
+    restarted = OnlineResolver(service, POLICY, event_log=log)
+    reference = OnlineResolver(service, POLICY, event_log=EventLog(clean))
+    assert state_bytes(restarted.state_dict()) == state_bytes(reference.state_dict())
+    assert restarted.state_dict()["clusters"] or restarted.state_dict()["cannot_links"]
 
 
 def test_revert_then_replay_determinism(resolved):

@@ -26,6 +26,7 @@ class TestExecutionConfig:
     @pytest.mark.parametrize("values", [
         {"workers": 0},
         {"backend": "celery"},
+        {"backend": "thread"},
         {"chunk_size": 0},
         {"min_process_pairs": -1},
         {"start_method": "teleport"},
@@ -55,18 +56,19 @@ class TestExecutionConfig:
             ExecutionConfig.coerce(3)
 
     def test_with_workers(self):
-        config = ExecutionConfig(workers=2, backend="thread")
+        config = ExecutionConfig(workers=2, backend="process")
         assert config.with_workers(None) is config
         assert config.with_workers(2) is config
         bumped = config.with_workers(8)
-        assert bumped.workers == 8 and bumped.backend == "thread"
+        assert bumped.workers == 8 and bumped.backend == "process"
 
     def test_resolve_backend(self):
         assert ExecutionConfig(workers=1, backend="process").resolve_backend(10 ** 9) == "serial"
-        assert ExecutionConfig(workers=2, backend="thread").resolve_backend(10 ** 9) == "thread"
+        assert ExecutionConfig(workers=2, backend="process").resolve_backend(1) == "process"
         assert ExecutionConfig(workers=2, backend="serial").resolve_backend(None) == "serial"
         auto = ExecutionConfig(workers=2)
-        assert auto.resolve_backend(auto.min_process_pairs - 1) == "thread"
+        assert auto.resolve_backend(0) == "serial"
+        assert auto.resolve_backend(auto.min_process_pairs - 1) == "serial"
         assert auto.resolve_backend(auto.min_process_pairs) == "process"
         assert auto.resolve_backend(None) == "process"  # unknown length: assume big
 
@@ -77,12 +79,16 @@ class TestExecutionConfig:
 
 class TestSpecIntegration:
     def test_spec_round_trips_execution(self):
-        spec = PipelineSpec(execution={"workers": 4, "backend": "thread"})
+        spec = PipelineSpec(execution={"workers": 4, "backend": "process"})
         values = spec.to_dict()
         assert values["execution"]["workers"] == 4
         restored = PipelineSpec.from_dict(values)
         assert restored.execution == spec.execution
         assert PipelineSpec.from_json(spec.to_json()).execution == spec.execution
+
+    def test_spec_rejects_the_removed_thread_backend(self):
+        with pytest.raises(ConfigurationError, match="unknown execution backend 'thread'"):
+            PipelineSpec.from_dict({"execution": {"workers": 2, "backend": "thread"}})
 
     def test_spec_omits_execution_when_unset(self):
         assert "execution" not in PipelineSpec().to_dict()
@@ -94,17 +100,17 @@ class TestSpecIntegration:
     def test_execution_survives_save_load(self, fitted_pipeline, tmp_path):
         from repro.serve import load_pipeline
 
-        fitted_pipeline.spec.execution = ExecutionConfig(workers=2, backend="thread")
+        fitted_pipeline.spec.execution = ExecutionConfig(workers=2, backend="process")
         try:
             directory = save_pipeline(fitted_pipeline, tmp_path / "model")
             loaded = load_staged_pipeline(directory)
-            assert loaded.execution == ExecutionConfig(workers=2, backend="thread")
+            assert loaded.execution == ExecutionConfig(workers=2, backend="process")
             assert loaded.spec.execution == fitted_pipeline.spec.execution
             # The legacy facade loader (what `load_pipeline` and the CLI use)
             # rebinds the saved spec after construction; the execution default
             # must be re-derived with it, not left at the constructor's None.
             facade = load_pipeline(directory)
-            assert facade.execution == ExecutionConfig(workers=2, backend="thread")
+            assert facade.execution == ExecutionConfig(workers=2, backend="process")
         finally:
             fitted_pipeline.spec.execution = None
             fitted_pipeline.execution = None
@@ -116,7 +122,7 @@ class TestEngineLifecycle:
             ParallelScoringEngine(build_pipeline(), ExecutionConfig(workers=2))
 
     def test_closed_engine_rejects_new_work(self, fitted_pipeline, parallel_split):
-        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="thread"))
+        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="process"))
         engine.close()
         engine.close()  # idempotent
         chunks = [parallel_split.test.pairs[:3]]
@@ -132,7 +138,7 @@ class TestEngineLifecycle:
         assert len(results) == 1 and len(results[0][1]) == 4
 
     def test_worker_errors_propagate(self, fitted_pipeline):
-        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="thread"))
+        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="process"))
         with engine, pytest.raises(AttributeError):
             # A poisoned chunk: scoring ints instead of record pairs is a
             # worker-side failure that must surface to the consumer (at the
@@ -142,22 +148,22 @@ class TestEngineLifecycle:
     def test_results_arrive_in_source_order(self, fitted_pipeline, parallel_split):
         pairs = parallel_split.test.pairs[:30]
         chunks = [[pair] for pair in pairs]  # 30 single-pair chunks, 4 workers
-        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=4, backend="thread"))
+        engine = ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=4, backend="process"))
         with engine:
             ordered = [chunk[0].pair_id for chunk, _ in engine.map_chunks(chunks)]
         assert ordered == [pair.pair_id for pair in pairs]
 
-    def test_auto_backend_switch_rebuilds_the_pool(self, fitted_pipeline, parallel_split):
-        # An auto-backend engine resolves thread for a known-small stream and
-        # process for an unknown-length one; the pool is rebuilt between the
-        # two map calls and both produce the same numbers.
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    def test_auto_backend_scores_small_streams_serially(self, fitted_pipeline, parallel_split):
+        # An auto-backend engine scores a known-small stream with the parent
+        # pipeline (no pool is built) and an unknown-length one on a process
+        # pool; both produce the same numbers.
+        from concurrent.futures import ProcessPoolExecutor
 
         chunks = [parallel_split.test.pairs[:6], parallel_split.test.pairs[6:10]]
         config = ExecutionConfig(workers=2, backend="auto")
         with ParallelScoringEngine(fitted_pipeline, config) as engine:
             small = [s.risk_scores for s in engine.score_stream(chunks, length_hint=10)]
-            assert isinstance(engine._executor, ThreadPoolExecutor)
+            assert engine._executor is None
             unknown = [s.risk_scores for s in engine.score_stream(chunks, length_hint=None)]
             assert isinstance(engine._executor, ProcessPoolExecutor)
         for left, right in zip(small, unknown):
@@ -165,7 +171,7 @@ class TestEngineLifecycle:
 
     def test_engine_reusable_across_map_calls(self, fitted_pipeline, parallel_split):
         chunks = [parallel_split.test.pairs[:5], parallel_split.test.pairs[5:9]]
-        with ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="thread")) as engine:
+        with ParallelScoringEngine(fitted_pipeline, ExecutionConfig(workers=2, backend="process")) as engine:
             first = [scores.risk_scores for scores in engine.score_stream(chunks)]
             second = [scores.risk_scores for scores in engine.score_stream(chunks)]
         for left, right in zip(first, second):
@@ -175,12 +181,12 @@ class TestEngineLifecycle:
 class TestServiceIntegration:
     def test_score_source_parallel_matches_serial(self, fitted_pipeline, parallel_split):
         source = InMemorySource(parallel_split.test.pairs[:64], name="svc")
-        service = RiskService(fitted_pipeline, max_batch_size=16, cache_size=0)
-        serial = list(service.score_source(source, chunk_size=16))
-        parallel = list(service.score_source(
-            source, chunk_size=16, workers=2,
-            execution=ExecutionConfig(workers=2, backend="thread"),
-        ))
+        with RiskService(fitted_pipeline, max_batch_size=16, cache_size=0) as service:
+            serial = list(service.score_source(source, chunk_size=16))
+            parallel = list(service.score_source(
+                source, chunk_size=16, workers=2,
+                execution=ExecutionConfig(workers=2, backend="process"),
+            ))
         assert [scored.pair.pair_id for scored in parallel] == \
             [scored.pair.pair_id for scored in serial]
         assert [scored.risk_score for scored in parallel] == \
@@ -190,23 +196,24 @@ class TestServiceIntegration:
         assert [scored.machine_label for scored in parallel] == \
             [scored.machine_label for scored in serial]
 
-    def test_score_workload_parallel_matches_serial(self, fitted_pipeline, parallel_split):
+    def test_parallel_workload_matches_score_pairs(self, fitted_pipeline, parallel_split):
         workload = parallel_split.test
         service = RiskService(fitted_pipeline, max_batch_size=32, cache_size=0)
-        serial = service.score_workload(workload)
-        parallel = service.score_workload(
-            workload, execution=ExecutionConfig(workers=2, backend="thread")
-        )
+        serial = service.score_pairs(workload.pairs)
+        with service:
+            parallel = list(service.score_source(
+                workload, execution=ExecutionConfig(workers=2, backend="process")
+            ))
         assert [scored.risk_score for scored in parallel] == \
             [scored.risk_score for scored in serial]
 
     def test_parallel_pass_updates_stats(self, fitted_pipeline, parallel_split):
         source = InMemorySource(parallel_split.test.pairs[:20], name="stats")
-        service = RiskService(fitted_pipeline, max_batch_size=8, cache_size=4096)
-        list(service.score_source(
-            source, chunk_size=8, workers=2,
-            execution=ExecutionConfig(workers=2, backend="thread"),
-        ))
+        with RiskService(fitted_pipeline, max_batch_size=8, cache_size=4096) as service:
+            list(service.score_source(
+                source, chunk_size=8, workers=2,
+                execution=ExecutionConfig(workers=2, backend="process"),
+            ))
         stats = service.stats.snapshot()
         assert stats["pairs_scored"] == 20.0
         assert stats["batches"] == 3.0
@@ -219,7 +226,7 @@ class TestServiceIntegration:
 
     def test_parallel_engine_is_reused_across_passes(self, fitted_pipeline, parallel_split):
         source = InMemorySource(parallel_split.test.pairs[:12], name="reuse")
-        config = ExecutionConfig(workers=2, backend="thread")
+        config = ExecutionConfig(workers=2, backend="process")
         with RiskService(fitted_pipeline, max_batch_size=4, cache_size=0) as service:
             list(service.score_source(source, chunk_size=4, execution=config))
             first_engine = service._engines[config]
@@ -227,7 +234,7 @@ class TestServiceIntegration:
             assert service._engines[config] is first_engine  # warmed pool kept
             # A different config gets its own engine — the first one stays
             # alive, so a concurrent stream on it could never be torn down.
-            other = ExecutionConfig(workers=3, backend="thread")
+            other = ExecutionConfig(workers=3, backend="process")
             list(service.score_source(source, chunk_size=4, execution=other))
             assert service._engines[config] is first_engine
             assert service._engines[other] is not first_engine
@@ -242,11 +249,11 @@ class TestServiceIntegration:
         serial = [s.risk_score for s in service.score_source(source, chunk_size=4)]
         try:
             stream_a = service.score_source(
-                source, chunk_size=4, execution=ExecutionConfig(workers=2, backend="thread")
+                source, chunk_size=4, execution=ExecutionConfig(workers=2, backend="process")
             )
             collected_a = [next(stream_a).risk_score for _ in range(6)]
             stream_b = service.score_source(
-                source, chunk_size=4, execution=ExecutionConfig(workers=3, backend="thread")
+                source, chunk_size=4, execution=ExecutionConfig(workers=3, backend="process")
             )
             collected_b = [s.risk_score for s in stream_b]
             collected_a += [s.risk_score for s in stream_a]
@@ -274,14 +281,14 @@ class TestServiceIntegration:
         view = Workload.from_source(source)
         reports = list(fitted_pipeline.analyse_batches(
             view, batch_size=4, workers=2,
-            execution=ExecutionConfig(workers=2, backend="thread"),
+            execution=ExecutionConfig(workers=2, backend="process"),
         ))
         assert sum(len(report.pairs) for report in reports) == 10
         assert not view.is_materialized
-        service = RiskService(fitted_pipeline, max_batch_size=4, cache_size=0)
-        scored = list(service.score_source(
-            view, chunk_size=4, execution=ExecutionConfig(workers=2, backend="thread")
-        ))
+        with RiskService(fitted_pipeline, max_batch_size=4, cache_size=0) as service:
+            scored = list(service.score_source(
+                view, chunk_size=4, execution=ExecutionConfig(workers=2, backend="process")
+            ))
         assert len(scored) == 10
         assert not view.is_materialized
 
@@ -290,9 +297,10 @@ class TestServiceIntegration:
     ):
         source = InMemorySource(parallel_split.test.pairs[:10], name="cfg")
         service = RiskService(fitted_pipeline, max_batch_size=256, cache_size=0)
-        config = ExecutionConfig(workers=2, backend="thread", chunk_size=4)
-        list(service.score_source(source, execution=config))
-        assert service.stats.batches == 3  # 4 + 4 + 2, not one 10-pair batch
+        config = ExecutionConfig(workers=2, backend="process", chunk_size=4)
+        with service:
+            list(service.score_source(source, execution=config))
+        assert service.stats.snapshot()["batches"] == 3  # 4 + 4 + 2, not one 10-pair batch
 
 
 class TestAnalyseBatchesWiring:
@@ -317,7 +325,7 @@ class TestAnalyseBatchesWiring:
             },
             "training": {"epochs": 30},
             "seed": 0,
-            "execution": {"workers": 2, "backend": "thread", "chunk_size": 5},
+            "execution": {"workers": 2, "backend": "process", "chunk_size": 5},
         }
         pipeline = build_pipeline(PipelineSpec.from_dict(values))
         pipeline.fit(parallel_split.train, parallel_split.validation)

@@ -68,12 +68,12 @@ class TestRandomizedParityGrid:
     @pytest.mark.parametrize("seed,size", [(0, 5), (1, 37), (2, 100)])
     @pytest.mark.parametrize("workers", WORKERS_GRID)
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_thread_pool_matches_serial(
+    def test_pool_matches_serial(
         self, fitted_pipeline, parallel_split, seed, size, workers, chunk_size
     ):
         workload = make_random_workload(parallel_split, seed, size)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=chunk_size))
-        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "process")
         assert_reports_identical(serial, parallel)
 
     @pytest.mark.parametrize("workers", (2, 4))
@@ -101,13 +101,13 @@ class TestDegenerateShapes:
     def test_empty_source_yields_no_reports(self, fitted_pipeline):
         source = InMemorySource([], name="empty")
         for workers in WORKERS_GRID:
-            reports = collect_reports(fitted_pipeline, source, 8, workers, "thread")
+            reports = collect_reports(fitted_pipeline, source, 8, workers, "process")
             assert reports == []
 
     def test_single_pair_source(self, fitted_pipeline, parallel_split):
         workload = make_random_workload(parallel_split, seed=5, size=1)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=4))
-        parallel = collect_reports(fitted_pipeline, workload, 4, 4, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, 4, 4, "process")
         assert_reports_identical(serial, parallel)
 
     def test_uneven_trailing_chunk(self, fitted_pipeline, parallel_split):
@@ -115,7 +115,7 @@ class TestDegenerateShapes:
         workload = make_random_workload(parallel_split, seed=6, size=23)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=5))
         assert [len(report.pairs) for report in serial] == [5, 5, 5, 5, 3]
-        parallel = collect_reports(fitted_pipeline, workload, 5, 3, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, 5, 3, "process")
         assert_reports_identical(serial, parallel)
 
     def test_sources_with_empty_chunks_are_skipped(self, fitted_pipeline, parallel_split):
@@ -131,7 +131,7 @@ class TestDegenerateShapes:
         workload = make_random_workload(parallel_split, seed=7, size=20)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=6))
         gappy = GappySource(workload.pairs, name="gappy")
-        parallel = collect_reports(fitted_pipeline, gappy, 6, 2, "thread")
+        parallel = collect_reports(fitted_pipeline, gappy, 6, 2, "process")
         assert_reports_identical(serial, parallel)
 
 
@@ -144,7 +144,7 @@ class TestAggregateParity:
     ):
         workload = make_random_workload(parallel_split, seed=8, size=71)
         eager = fitted_pipeline.analyse(workload)
-        reports = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
+        reports = collect_reports(fitted_pipeline, workload, chunk_size, workers, "process")
         assert np.array_equal(
             np.concatenate([report.risk_scores for report in reports]), eager.risk_scores
         )
@@ -207,5 +207,5 @@ class TestHypothesisShapes:
     ):
         workload = make_random_workload(parallel_split, seed, size)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=chunk_size))
-        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "process")
         assert_reports_identical(serial, parallel)

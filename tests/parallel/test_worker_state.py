@@ -17,6 +17,7 @@ The hazards this file pins down:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -58,6 +59,32 @@ class TestKernelPickleSafety:
         fitted_pipeline.risk_features.invalidate_kernel()
         fitted_pipeline.warm_kernel()
         assert fitted_pipeline.risk_features._kernel is not None
+
+
+class TestProcessWorkerState:
+    def test_worker_rebuilds_once_and_stamps_only_its_first_chunk(
+        self, fitted_pipeline, parallel_split, monkeypatch
+    ):
+        # The pool's initializer and task function, run in this process: the
+        # worker pipeline is rebuilt from state with its kernel warmed, its
+        # chunks score like the parent's, and the one-time rebuild cost rides
+        # on the worker's first chunk only.
+        from repro.parallel import engine
+
+        monkeypatch.setattr(engine, "_WORKER_PIPELINE", None)
+        monkeypatch.setattr(engine, "_WORKER_REBUILD_SECONDS", 0.0)
+        engine._initialize_process_worker(fitted_pipeline.to_state())
+        assert engine._WORKER_PIPELINE is not fitted_pipeline
+        assert engine._WORKER_PIPELINE.risk_features._kernel is not None
+        pairs = parallel_split.test.pairs[:12]
+        first = engine._score_chunk_in_process(pairs[:6], 2)
+        second = engine._score_chunk_in_process(pairs[6:], 2)
+        assert first == fitted_pipeline.score_chunk(pairs[:6], explain_top=2)
+        assert second == fitted_pipeline.score_chunk(pairs[6:], explain_top=2)
+        assert first.worker == second.worker == f"pid-{os.getpid()}"
+        assert first.worker_seconds > 0.0
+        assert first.rebuild_seconds > 0.0
+        assert second.rebuild_seconds == 0.0
 
 
 class TestServiceIsProcessLocal:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import json
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -224,6 +225,50 @@ class TestResolveEndpoints:
         feeder.join(120)
         reader.join(120)
         assert not errors
+
+    def test_cluster_read_behind_the_resolver_lock_leaves_healthz_live(self, online_served):
+        # A /resolve holds the resolver lock for a whole decision.  A cluster
+        # read queued behind it must wait in an executor thread, not on the
+        # event loop, or every other connection (/healthz included) stalls.
+        status, _ = http_json(
+            online_served.address, "POST", "/resolve",
+            {"record": record_payload(40, "lock probe record")},
+        )
+        assert status == 200
+        resolver = online_served.server.state.resolver
+        holding, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with resolver._lock:
+                holding.set()
+                release.wait(5)
+
+        cluster: dict = {}
+
+        def read_cluster():
+            cluster["status"], cluster["body"] = http_json(
+                online_served.address, "GET", "/clusters/s:r40"
+            )
+
+        holder = threading.Thread(target=hold_lock)
+        reader = threading.Thread(target=read_cluster)
+        holder.start()
+        try:
+            assert holding.wait(5)
+            reader.start()
+            time.sleep(0.2)  # the cluster read is now parked on the held lock
+            started = time.perf_counter()
+            status, body = http_json(online_served.address, "GET", "/healthz")
+            elapsed = time.perf_counter() - started
+            assert reader.is_alive()
+        finally:
+            release.set()
+            holder.join(10)
+        reader.join(10)
+        assert status == 200 and body["status"] == "ok"
+        assert elapsed < 1.0
+        assert cluster["status"] == 200
+        assert "s:r40" in cluster["body"]["cluster"]
 
     def test_online_counters_visible_in_stats(self, online_served):
         status, body = http_json(online_served.address, "GET", "/stats")

@@ -217,11 +217,11 @@ class TestCli:
             "--data-dir", str(directory),
             "--name", workload.name,
             "--output", str(output),
-            "--repeat", "2",
         ])
         assert exit_code == 0
         printed = capsys.readouterr().out
         assert "pairs/s" in printed and "hit rate" in printed
+        assert "risk ranking AUROC" in printed
 
         with output.open() as handle:
             rows = list(csv.DictReader(handle))
@@ -231,24 +231,24 @@ class TestCli:
         }
         assert all(0.0 <= float(row["probability"]) <= 1.0 for row in rows)
 
-    def test_score_streaming_matches_eager_output(
+    def test_score_output_is_independent_of_chunk_size(
         self, fitted_model_dir, csv_workload_dir, tmp_path, capsys
     ):
         directory, workload = csv_workload_dir
-        eager_output = tmp_path / "eager.csv"
-        streamed_output = tmp_path / "streamed.csv"
+        default_output = tmp_path / "default.csv"
+        chunked_output = tmp_path / "chunked.csv"
         base = [
             "score",
             "--model", str(fitted_model_dir),
             "--data-dir", str(directory),
             "--name", workload.name,
         ]
-        assert main(base + ["--output", str(eager_output)]) == 0
-        assert main(base + ["--output", str(streamed_output), "--chunk-size", "64"]) == 0
-        printed = capsys.readouterr().out
-        assert "streamed, chunk size 64" in printed
-        # Streaming is the same rows, same float reprs, in the same order.
-        assert streamed_output.read_text() == eager_output.read_text()
+        assert main(base + ["--output", str(default_output)]) == 0
+        assert "streamed, chunk size 256" in capsys.readouterr().out  # --batch-size
+        assert main(base + ["--output", str(chunked_output), "--chunk-size", "64"]) == 0
+        assert "streamed, chunk size 64" in capsys.readouterr().out
+        # Same rows, same float reprs, in the same order at any chunk size.
+        assert chunked_output.read_text() == default_output.read_text()
 
     def test_score_streaming_explicit_input_file(
         self, fitted_model_dir, csv_workload_dir, tmp_path, capsys
@@ -269,12 +269,29 @@ class TestCli:
             rows = list(csv.DictReader(handle))
         assert len(rows) == workload.num_matches
 
-    def test_score_input_without_chunk_size_rejected(self, fitted_model_dir, csv_workload_dir):
+    def test_score_input_without_chunk_size(
+        self, fitted_model_dir, csv_workload_dir, tmp_path, capsys
+    ):
         directory, workload = csv_workload_dir
-        with pytest.raises(SystemExit):
+        output = tmp_path / "matches-default-chunk.csv"
+        exit_code = main([
+            "score", "--model", str(fitted_model_dir),
+            "--data-dir", str(directory), "--name", workload.name,
+            "--input", str(directory / f"{workload.name}_matches.csv"),
+            "--output", str(output),
+        ])
+        assert exit_code == 0
+        assert "streamed, chunk size 256" in capsys.readouterr().out
+        with output.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == workload.num_matches
+
+    def test_input_requires_data_dir(self, fitted_model_dir, csv_workload_dir):
+        directory, workload = csv_workload_dir
+        with pytest.raises(SystemExit, match="--input requires --data-dir"):
             main([
                 "score", "--model", str(fitted_model_dir),
-                "--data-dir", str(directory), "--name", workload.name,
+                "--dataset", "DS", "--scale", "0.1",
                 "--input", str(directory / f"{workload.name}_pairs.csv"),
             ])
 
@@ -286,12 +303,11 @@ class TestCli:
         assert exit_code == 0
         assert "streamed, chunk size 100" in capsys.readouterr().out
 
-    def test_streaming_backend_priority_matches_eager(
+    def test_dataset_wins_over_data_dir(
         self, fitted_model_dir, csv_workload_dir, capsys
     ):
-        # With both --dataset and --data-dir, the eager path scores the
-        # built-in dataset; adding --chunk-size must not change which
-        # workload is scored.
+        # With both --dataset and --data-dir, score reads the built-in
+        # dataset (the order fit and explain use too), at any chunk size.
         directory, workload = csv_workload_dir
         exit_code = main([
             "score", "--model", str(fitted_model_dir),
@@ -347,14 +363,24 @@ class TestCli:
             "left_id", "right_id", "probability", "machine_label", "risk_score"
         }
 
-    def test_score_source_requires_chunk_size(self, fitted_model_dir, tmp_path):
+    def test_score_source_without_chunk_size(self, fitted_model_dir, tmp_path, capsys):
         source_file = tmp_path / "source.json"
-        source_file.write_text(json.dumps({"kind": "dataset", "params": {"name": "DS"}}))
-        with pytest.raises(SystemExit):
-            main([
-                "score", "--model", str(fitted_model_dir),
-                "--source", str(source_file),
-            ])
+        source_file.write_text(json.dumps(
+            {"kind": "dataset", "params": {"name": "DS", "scale": 0.1}}
+        ))
+        output = tmp_path / "source-scored.csv"
+        exit_code = main([
+            "score", "--model", str(fitted_model_dir),
+            "--source", str(source_file),
+            "--output", str(output),
+        ])
+        assert exit_code == 0
+        printed = capsys.readouterr().out
+        assert "streamed, chunk size 256" in printed
+        with output.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows
+        assert f"scored {len(rows)} pairs" in printed
 
     def test_inspect(self, fitted_model_dir, capsys):
         exit_code = main(["inspect", "--model", str(fitted_model_dir), "--rules", "2"])

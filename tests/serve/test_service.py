@@ -48,7 +48,7 @@ class TestScoring:
         pipeline, split = served
         service = RiskService(pipeline, max_batch_size=len(split.test))
         report = pipeline.analyse(split.test)
-        scored = service.score_workload(split.test)
+        scored = service.score_pairs(split.test.pairs)
         np.testing.assert_array_equal(
             np.array([s.risk_score for s in scored]), report.risk_scores
         )
@@ -91,8 +91,8 @@ class TestScoring:
         first = service.risk_scores(pairs)
         second = service.risk_scores(pairs)
         np.testing.assert_array_equal(first, second)
-        assert service.stats.cache_hits == 50
-        assert service.stats.cache_misses == 50
+        assert service.stats.snapshot()["cache_hits"] == 50
+        assert service.stats.snapshot()["cache_misses"] == 50
 
 
 class TestCache:
@@ -102,7 +102,7 @@ class TestCache:
         pairs = split.test.pairs[:30]
         for _ in range(4):
             service.score_pairs(pairs)
-        assert service.stats.cache_hit_rate == pytest.approx(0.75)
+        assert service.stats.snapshot()["cache_hit_rate"] == pytest.approx(0.75)
         assert service.cache_fill == 30
 
     def test_lru_eviction_bounds_memory(self, served):
@@ -129,7 +129,7 @@ class TestCache:
         service = RiskService(pipeline, cache_size=0)
         service.score_pairs(split.test.pairs[:10])
         service.score_pairs(split.test.pairs[:10])
-        assert service.stats.cache_hits == 0
+        assert service.stats.snapshot()["cache_hits"] == 0
         assert service.cache_fill == 0
 
     def test_clear_cache(self, served):
@@ -148,7 +148,7 @@ class TestCache:
         matrix = service._vectorize(pairs)
         expected = np.vstack([pipeline.vectorizer.transform_pair(pair) for pair in pairs])
         np.testing.assert_array_equal(matrix, expected)
-        assert service.stats.cache_misses == 20
+        assert service.stats.snapshot()["cache_misses"] == 20
 
     def test_mixed_hits_and_misses_stay_aligned(self, served):
         pipeline, split = served
@@ -178,7 +178,7 @@ class TestCache:
         second = service._vectorize(pairs)  # all cache hits
         expected = np.vstack([pipeline.vectorizer.transform_pair(pair) for pair in pairs])
         np.testing.assert_array_equal(second, expected)
-        assert service.stats.cache_hits == len(pairs)
+        assert service.stats.snapshot()["cache_hits"] == len(pairs)
 
 
 class TestExplain:
@@ -261,8 +261,8 @@ class TestExplain:
             patch.setattr(pipeline.classifier, "predict_proba", boom)
             with pytest.raises(RuntimeError, match="transient"):
                 service.explain_pairs(pairs)
-        assert service.stats.pairs_scored == 0
-        assert service.stats.batches == 0
+        assert service.stats.snapshot()["pairs_scored"] == 0
+        assert service.stats.snapshot()["batches"] == 0
 
         acquired: list[bool] = []
 
@@ -277,8 +277,8 @@ class TestExplain:
         assert acquired == [True]
 
         assert service.explain_pairs(pairs) == RiskService(pipeline).explain_pairs(pairs)
-        assert service.stats.pairs_scored == 3
-        assert service.stats.batches == 1
+        assert service.stats.snapshot()["pairs_scored"] == 3
+        assert service.stats.snapshot()["batches"] == 1
 
 
 class TestThreadSafety:
@@ -301,4 +301,4 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert not failures
-        assert service.stats.pairs_scored == 4 * 3 * 40
+        assert service.stats.snapshot()["pairs_scored"] == 4 * 3 * 40
