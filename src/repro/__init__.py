@@ -53,7 +53,6 @@ from .evaluation import (
     run_comparative_experiment,
     run_holoclean_comparison,
     run_ood_experiment,
-    run_parallel_scaling_experiment,
     run_scalability_experiment,
     run_sensitivity_experiment,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "run_comparative_experiment",
     "run_holoclean_comparison",
     "run_ood_experiment",
-    "run_parallel_scaling_experiment",
     "run_scalability_experiment",
     "run_sensitivity_experiment",
     "save_pipeline",

@@ -69,7 +69,7 @@ class StaticRiskBaseline(BaseRiskScorer):
                 "StaticRiskBaseline requires context.risk_features "
                 "(share the GeneratedRiskFeatures produced for LearnRisk)"
             )
-        membership = self._features.rule_matrix(np.asarray(context.train_features, dtype=float))
+        membership = self._features.membership(np.asarray(context.train_features, dtype=float))
         labels = np.asarray(context.train_labels, dtype=float)
         self._rule_totals = membership.sum(axis=0)
         self._rule_matches = membership.T @ labels
@@ -86,7 +86,7 @@ class StaticRiskBaseline(BaseRiskScorer):
         metric_matrix = np.asarray(metric_matrix, dtype=float)
         probabilities = np.clip(np.asarray(machine_probabilities, dtype=float), 1e-3, 1.0 - 1e-3)
         machine_labels = np.asarray(machine_labels, dtype=int)
-        membership = self._features.rule_matrix(metric_matrix)
+        membership = self._features.membership(metric_matrix)
 
         # Prior pseudo-counts from the classifier output.
         prior_alpha = probabilities * self.prior_strength

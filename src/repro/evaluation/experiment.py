@@ -598,83 +598,3 @@ def run_scalability_experiment(
         training_times[int(size)] = time.perf_counter() - start
 
     return {"rule_generation": rule_times, "risk_training": training_times}
-
-
-# --------------------------------------------------------------- parallel scaling
-def run_parallel_scaling_experiment(
-    dataset: str | Workload | PairSource,
-    workers_grid: Sequence[int] = (1, 2, 4),
-    chunk_size: int = 512,
-    scale: float = 1.0,
-    seed: int = 0,
-    tree_config: OneSidedTreeConfig | None = None,
-    classifier: BaseClassifier | str | dict | None = None,
-    execution: "dict | None" = None,
-) -> dict:
-    """Scoring throughput of the sharded engine versus worker count.
-
-    Fits one pipeline on the workload's train/validation parts, then analyses
-    the test part through ``analyse_batches`` once per entry of
-    ``workers_grid`` (chunked at ``chunk_size``), asserting along the way that
-    every worker count reproduces the single-worker risk scores **bit for
-    bit** — the determinism contract of :mod:`repro.parallel` measured, not
-    assumed.  ``execution`` optionally overrides the pool configuration
-    (backend, start method, window) for the whole grid; the per-run worker
-    count always comes from the grid.
-
-    Returns a JSON-friendly dict::
-
-        {"dataset": ..., "n_pairs": ..., "chunk_size": ...,
-         "workers": {1: {"seconds": ..., "pairs_per_second": ...,
-                         "speedup": ..., "bit_identical": True}, ...}}
-    """
-    # Imported lazily: repro.pipeline imports this module for the default
-    # classifier factory.
-    from ..parallel.config import ExecutionConfig
-    from ..pipeline import LearnRiskPipeline
-
-    workload = _resolve_workload(dataset, scale)
-    split = split_workload(workload, ratio=(3, 2, 5), seed=seed)
-    pipeline = LearnRiskPipeline(
-        classifier=resolve_classifier(classifier, seed),
-        tree_config=tree_config,
-        seed=seed,
-    )
-    pipeline.fit(split.train, split.validation)
-    base_config = ExecutionConfig.coerce(execution) or ExecutionConfig()
-
-    test = split.test
-    results: dict = {
-        "dataset": workload.name,
-        "n_pairs": len(test),
-        "chunk_size": int(chunk_size),
-        "workers": {},
-    }
-    reference_scores: np.ndarray | None = None
-    baseline_seconds: float | None = None
-    for workers in workers_grid:
-        start = time.perf_counter()
-        reports = list(pipeline.analyse_batches(
-            test, batch_size=chunk_size, workers=int(workers), execution=base_config
-        ))
-        seconds = time.perf_counter() - start
-        scores = (
-            np.concatenate([report.risk_scores for report in reports])
-            if reports else np.zeros(0, dtype=float)
-        )
-        if reference_scores is None:
-            reference_scores = scores
-            baseline_seconds = seconds
-        bit_identical = bool(np.array_equal(scores, reference_scores))
-        if not bit_identical:
-            raise DataError(
-                f"parallel scoring with {workers} workers diverged from the "
-                f"{workers_grid[0]}-worker reference — the determinism contract is broken"
-            )
-        results["workers"][int(workers)] = {
-            "seconds": seconds,
-            "pairs_per_second": len(test) / seconds if seconds > 0 else 0.0,
-            "speedup": baseline_seconds / seconds if seconds > 0 else 0.0,
-            "bit_identical": bit_identical,
-        }
-    return results

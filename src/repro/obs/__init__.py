@@ -8,7 +8,6 @@ Public surface:
 * :func:`get_recorder` / :func:`set_recorder` / :func:`use_recorder` — the
   process-global recorder the instrumented library records into; defaults to
   :data:`NULL_RECORDER` so the disabled path costs ~nothing.
-* :class:`Stopwatch` — the benchmarks' wall-clock timing primitive.
 """
 
 from .histogram import DEFAULT_GROWTH, SNAPSHOT_QUANTILES, StreamingHistogram
@@ -17,7 +16,6 @@ from .registry import (
     SNAPSHOT_VERSION,
     MetricsRegistry,
     NullRecorder,
-    Stopwatch,
     get_recorder,
     set_recorder,
     use_recorder,
@@ -31,7 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "NullRecorder",
     "NULL_RECORDER",
-    "Stopwatch",
     "get_recorder",
     "set_recorder",
     "use_recorder",

@@ -51,39 +51,6 @@ from .histogram import StreamingHistogram
 SNAPSHOT_VERSION = 1
 
 
-class Stopwatch:
-    """A tiny reusable wall-clock timer (the benchmarks' timing primitive).
-
-    Usable as a context manager or started/stopped explicitly::
-
-        with Stopwatch() as watch:
-            work()
-        print(watch.seconds)
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock = clock or time.perf_counter
-        self._started: float | None = None
-        self.seconds = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._started = self._clock()
-        return self
-
-    def stop(self) -> float:
-        if self._started is None:
-            raise RuntimeError("Stopwatch.stop called before start")
-        self.seconds = self._clock() - self._started
-        self._started = None
-        return self.seconds
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 class _SpanContext:
     """Reusable context manager for one registry + span name (allocated per call)."""
 
@@ -115,8 +82,8 @@ class MetricsRegistry:
     ----------
     clock:
         Monotonic clock returning seconds as a float; defaults to
-        :func:`time.perf_counter`.  Injectable so tests can drive spans and
-        timers deterministically with a fake clock.
+        :func:`time.perf_counter`.  Injectable so tests can drive spans
+        deterministically with a fake clock.
     """
 
     #: Recorder-protocol flag: ``False`` only on the null recorder, so hot
@@ -216,15 +183,6 @@ class MetricsRegistry:
         with self._lock:
             return self._histograms.get(name)
 
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Time the enclosed block into histogram ``name`` (flat, not nested)."""
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.observe(name, self._clock() - start)
-
     # ------------------------------------------------------------------- spans
     def _span_stack(self) -> list[str]:
         stack = getattr(self._local, "stack", None)
@@ -309,7 +267,7 @@ class MetricsRegistry:
 
 
 class _NullContext:
-    """The do-nothing context manager shared by every null span/timer."""
+    """The do-nothing context manager shared by every null span."""
 
     __slots__ = ()
 
@@ -326,8 +284,8 @@ _NULL_CONTEXT = _NullContext()
 class NullRecorder:
     """The disabled recorder: same surface as :class:`MetricsRegistry`, no work.
 
-    Every mutator is an empty method and :meth:`span`/:meth:`timer` return one
-    shared no-op context manager, so the instrumented hot paths cost a method
+    Every mutator is an empty method and :meth:`span` returns one shared
+    no-op context manager, so the instrumented hot paths cost a method
     call when observability is off (guarded by a test in ``tests/obs``).
     """
 
@@ -355,9 +313,6 @@ class NullRecorder:
         return None
 
     def span(self, name: str) -> _NullContext:
-        return _NULL_CONTEXT
-
-    def timer(self, name: str) -> _NullContext:
         return _NULL_CONTEXT
 
     def counter_value(self, name: str) -> float:

@@ -14,8 +14,8 @@ Entry points higher up the stack accept the same knobs directly:
 * ``python -m repro.serve score --workers 4``
 * ``PipelineSpec(execution={"workers": 4})`` → rides along in saved models
 
-See ``benchmarks/bench_parallel_scoring.py`` for the measured scaling and
-``tests/parallel/`` for the parity guarantees.
+See ``BENCH_layers.json`` (written by ``benchmarks/bench_layers.py``) for
+the measured worker scaling and ``tests/parallel/`` for the parity guarantees.
 """
 
 from .chunks import ChunkScores

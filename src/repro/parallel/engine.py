@@ -213,8 +213,7 @@ class ParallelScoringEngine:
                 recorder.observe("parallel.worker_chunk_seconds", scores.worker_seconds)
                 if scores.worker:
                     # One histogram per worker (bounded by pool size): makes
-                    # load imbalance visible in the snapshot and gives the
-                    # benchmarks their per-worker chunk timings.
+                    # load imbalance visible in the snapshot.
                     recorder.observe(
                         f"parallel.worker.{scores.worker}.chunk_seconds",
                         scores.worker_seconds,

@@ -54,18 +54,14 @@ matrices is 1–2 orders of magnitude slower).  Per row chunk of ``M``:
    layout while materialising the requested dtype, one pass.
 
 The result is bit-identical to the legacy per-rule loop (including NaN
-handling) and 5-8x faster at serving batch sizes (10k-200k pairs x 50-200
-rules); see ``benchmarks/bench_rule_engine.py`` and ``BENCH_rule_engine.json``.
-
-For memory-bound workloads :meth:`RuleKernel.membership_packed` returns a
-:class:`PackedMembership` — the boolean matrix bit-packed along the rule axis
-(``np.uint8``, 8 rules per byte), accepted directly by
-:func:`repro.risk.portfolio.aggregate_portfolio`.
+handling), and faster: ``tests/risk/test_engine.py`` keeps that loop as the
+parity oracle and gates the kernel's speed against it, and
+``benchmarks/bench_layers.py`` records the kernel's time grid over 10k-200k
+pairs x 50-200 rules in ``BENCH_layers.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -78,45 +74,6 @@ from .rules import RiskRule
 #: that a chunk's pass matrix (one byte per element) stays cache-friendly —
 #: measured best across 10k-200k pairs x 50-200 rules on the dev box.
 _TARGET_CHUNK_ELEMENTS = 1 << 21
-
-
-@dataclass(frozen=True)
-class PackedMembership:
-    """Bit-packed rule membership: 8 rules per byte along the last axis.
-
-    ``bits`` has shape ``(n_pairs, ceil(n_rules / 8))`` and dtype ``uint8``;
-    bit ``j % 8`` (most-significant first, the :func:`np.packbits` layout) of
-    byte ``j // 8`` in row ``i`` is pair ``i``'s membership in rule ``j``.
-    """
-
-    bits: np.ndarray
-    n_rules: int
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The logical (unpacked) matrix shape."""
-        return (len(self.bits), self.n_rules)
-
-    @property
-    def nbytes(self) -> int:
-        """Memory footprint of the packed representation."""
-        return int(self.bits.nbytes)
-
-    def unpack(self, dtype: np.dtype | type = float) -> np.ndarray:
-        """Expand back to a dense ``(n_pairs, n_rules)`` matrix of ``dtype``.
-
-        The result is Fortran-ordered like :meth:`RuleKernel.membership`
-        output, so the packed and dense paths hand downstream consumers the
-        same layout and stay bit-identical end to end (the batch-invariant
-        reductions of :mod:`repro.numerics` then normalise layout themselves).
-        """
-        if self.n_rules == 0:
-            return np.zeros((len(self.bits), 0), dtype=dtype)
-        unpacked = np.unpackbits(self.bits, axis=1, count=self.n_rules)
-        return unpacked.astype(dtype, order="F")
 
 
 class RuleKernel:
@@ -232,8 +189,8 @@ class RuleKernel:
     def membership(self, metric_matrix: np.ndarray, dtype: np.dtype | type = float) -> np.ndarray:
         """``(n_pairs, n_rules)`` membership matrix cast to ``dtype``.
 
-        The default ``float`` output matches the legacy ``rule_matrix`` API
-        value for value; pass ``dtype=bool`` for the smallest dense form.
+        The default ``float`` output is what the portfolio aggregation and
+        the baselines consume; pass ``dtype=bool`` for the smallest dense form.
         The array is Fortran-ordered — the rule-major layout the kernel
         computes in — so materialising it is a contiguous cast instead of a
         cache-hostile strided transpose (4-5x faster at serving batch sizes).
@@ -251,28 +208,3 @@ class RuleKernel:
     def membership_bool(self, metric_matrix: np.ndarray) -> np.ndarray:
         """Boolean ``(n_pairs, n_rules)`` membership matrix."""
         return self.membership(metric_matrix, dtype=bool)
-
-    def membership_packed(self, metric_matrix: np.ndarray) -> PackedMembership:
-        """Bit-packed membership for memory-bound workloads (8 rules per byte)."""
-        metric_matrix = self._checked_matrix(metric_matrix)
-        n_pairs = len(metric_matrix)
-        bits = np.empty((n_pairs, (self.n_rules + 7) // 8), dtype=np.uint8)
-        self._apply(
-            metric_matrix,
-            lambda start, stop, memb: np.copyto(bits[start:stop], np.packbits(memb.T, axis=1)),
-        )
-        return PackedMembership(bits=bits, n_rules=self.n_rules)
-
-
-def legacy_rule_matrix(rules: Sequence[RiskRule], metric_matrix: np.ndarray) -> np.ndarray:
-    """The pre-kernel per-rule Python loop, kept as the parity/benchmark reference.
-
-    This is exactly what :meth:`GeneratedRiskFeatures.rule_matrix` did before
-    the kernel existed; tests assert the kernel is bit-identical to it and
-    ``benchmarks/bench_rule_engine.py`` measures the speedup against it.
-    """
-    metric_matrix = np.asarray(metric_matrix, dtype=float)
-    if not rules:
-        return np.zeros((len(metric_matrix), 0), dtype=float)
-    columns = [rule.coverage(metric_matrix).astype(float) for rule in rules]
-    return np.column_stack(columns)

@@ -28,7 +28,7 @@ from ..data.workload import Workload
 from ..exceptions import DataError, PersistenceError
 from ..features.vectorizer import PairVectorizer
 from ..serialization import component_state, require_state, state_field
-from .engine import PackedMembership, RuleKernel, legacy_rule_matrix
+from .engine import RuleKernel
 from .onesided_tree import OneSidedTreeBuilder, OneSidedTreeConfig
 from .rules import RiskRule, deduplicate_rules, estimate_expectations, remove_redundant_rules
 
@@ -113,30 +113,13 @@ class GeneratedRiskFeatures:
         self._kernel = None
         self._kernel_rules = None
 
-    def rule_matrix(self, metric_matrix: np.ndarray) -> np.ndarray:
-        """Binary (n_pairs, n_rules) membership matrix over a metric matrix.
+    def membership(self, metric_matrix: np.ndarray) -> np.ndarray:
+        """Binary ``(n_pairs, n_rules)`` rule membership over a metric matrix.
 
-        Delegates to the compiled :attr:`kernel`; bit-identical to (and much
-        faster than) the legacy per-rule loop, which survives as
-        :meth:`rule_matrix_legacy` for parity tests and benchmarks.
+        Delegates to the compiled :attr:`kernel`, which is bit-identical to
+        the per-rule Python loop kept as the parity oracle in
+        ``tests/risk/test_engine.py``.
         """
-        return self.kernel.membership(metric_matrix, dtype=float)
-
-    def rule_matrix_legacy(self, metric_matrix: np.ndarray) -> np.ndarray:
-        """The pre-kernel per-rule Python loop (parity/benchmark reference)."""
-        return legacy_rule_matrix(self.rules, metric_matrix)
-
-    def membership(
-        self, metric_matrix: np.ndarray, packed: bool = False
-    ) -> np.ndarray | PackedMembership:
-        """Rule membership, optionally bit-packed for memory-bound workloads.
-
-        ``packed=True`` returns a :class:`~repro.risk.engine.PackedMembership`
-        (uint8, 8 rules per byte) that
-        :func:`~repro.risk.portfolio.aggregate_portfolio` accepts directly.
-        """
-        if packed:
-            return self.kernel.membership_packed(metric_matrix)
         return self.kernel.membership(metric_matrix, dtype=float)
 
     def describe(self, limit: int | None = None) -> list[str]:
@@ -146,7 +129,7 @@ class GeneratedRiskFeatures:
 
     def coverage_fraction(self, metric_matrix: np.ndarray) -> float:
         """Fraction of pairs covered by at least one rule (the paper's "high coverage")."""
-        matrix = self.rule_matrix(metric_matrix)
+        matrix = self.membership(metric_matrix)
         if matrix.shape[1] == 0:
             return 0.0
         return float(np.mean(matrix.sum(axis=1) > 0))

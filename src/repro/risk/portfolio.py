@@ -23,12 +23,8 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 from ..numerics import batch_invariant_matvec as _matvec
-from .engine import PackedMembership
 
 _MINIMUM_TOTAL_WEIGHT = 1e-12
-#: Rows unpacked at a time when aggregating a PackedMembership: bounds the
-#: transient dense matrix to chunk_rows x n_rules floats.
-_PACKED_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class PortfolioDistribution:
 
 
 def aggregate_portfolio(
-    membership: np.ndarray | PackedMembership,
+    membership: np.ndarray,
     rule_weights: np.ndarray,
     rule_means: np.ndarray,
     rule_stds: np.ndarray,
@@ -61,12 +57,7 @@ def aggregate_portfolio(
     ----------
     membership:
         Binary ``(n_pairs, n_rules)`` matrix: ``membership[i, j] = 1`` when
-        pair ``i`` has rule feature ``j``.  A bit-packed
-        :class:`~repro.risk.engine.PackedMembership` (as produced by
-        :meth:`RuleKernel.membership_packed`) is accepted directly and is
-        aggregated chunk-wise, so the transient dense form never exceeds
-        ``_PACKED_CHUNK_ROWS`` rows and the packed memory saving survives
-        aggregation.
+        pair ``i`` has rule feature ``j``.
     rule_weights, rule_means, rule_stds:
         Per-rule weight, expectation and standard deviation (length ``n_rules``).
     output_weights, output_means, output_stds:
@@ -76,35 +67,19 @@ def aggregate_portfolio(
     rule_weights = np.asarray(rule_weights, dtype=float)
     rule_means = np.asarray(rule_means, dtype=float)
     rule_stds = np.asarray(rule_stds, dtype=float)
-    if isinstance(membership, PackedMembership):
-        n_pairs, n_rules = membership.shape
-    else:
-        # C order up front: the batch-invariant matvec normalises layout (the
-        # summation association follows the strides), so converting the rule
-        # kernel's F-ordered output once here saves two of the three copies.
-        membership = np.ascontiguousarray(membership, dtype=float)
-        n_pairs, n_rules = membership.shape
+    # C order up front: the batch-invariant matvec normalises layout (the
+    # summation association follows the strides), so converting the rule
+    # kernel's F-ordered output once here saves two of the three copies.
+    membership = np.ascontiguousarray(membership, dtype=float)
+    n_pairs, n_rules = membership.shape
     if not (len(rule_weights) == len(rule_means) == len(rule_stds) == n_rules):
         raise ConfigurationError("rule weight/mean/std lengths must match the membership matrix")
 
     mean_weights = rule_weights * rule_means
     variance_weights = rule_weights ** 2 * rule_stds ** 2
-    if isinstance(membership, PackedMembership):
-        total_weight = np.empty(n_pairs)
-        weighted_mean = np.empty(n_pairs)
-        weighted_variance = np.empty(n_pairs)
-        for start in range(0, n_pairs, _PACKED_CHUNK_ROWS):
-            stop = min(start + _PACKED_CHUNK_ROWS, n_pairs)
-            chunk = np.ascontiguousarray(
-                PackedMembership(membership.bits[start:stop], n_rules).unpack(float)
-            )
-            total_weight[start:stop] = _matvec(chunk, rule_weights)
-            weighted_mean[start:stop] = _matvec(chunk, mean_weights)
-            weighted_variance[start:stop] = _matvec(chunk, variance_weights)
-    else:
-        total_weight = _matvec(membership, rule_weights)
-        weighted_mean = _matvec(membership, mean_weights)
-        weighted_variance = _matvec(membership, variance_weights)
+    total_weight = _matvec(membership, rule_weights)
+    weighted_mean = _matvec(membership, mean_weights)
+    weighted_variance = _matvec(membership, variance_weights)
 
     has_output = output_weights is not None
     if has_output:

@@ -25,8 +25,8 @@ from ..exceptions import PersistenceError
 def as_float_matrix(metric_matrix: np.ndarray) -> np.ndarray:
     """Convert to a float64 array, skipping the no-op path entirely.
 
-    Callers that evaluate many rules over one matrix (``rule_matrix``,
-    :func:`estimate_expectations`, :func:`remove_redundant_rules`) convert
+    Callers that evaluate many rules over one matrix
+    (:func:`estimate_expectations`, :func:`remove_redundant_rules`) convert
     once at their boundary and hand the converted matrix to every rule, so
     no per-rule conversion — or copy, for non-float inputs — ever happens.
     """

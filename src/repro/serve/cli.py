@@ -138,8 +138,9 @@ def _load_workload(args: argparse.Namespace, schema: Schema | None = None) -> Wo
     raise SystemExit("provide either --dataset or --data-dir")
 
 
-#: Header of the scored-pair CSV written by ``score``, the streaming
-#: benchmark and any other writer that must stay byte-compatible.
+#: Header of the scored-pair CSV written by ``score``,
+#: ``benchmarks/bench_layers.py`` and any other writer that must stay
+#: byte-compatible.
 SCORED_CSV_HEADER = ("left_id", "right_id", "probability", "machine_label", "risk_score")
 
 

@@ -26,7 +26,7 @@ draining (``stop()`` scores everything still pending before returning).
 Because the scoring stack is batch-invariant by construction (the
 ``repro.numerics`` contract), coalescing never changes a single bit of any
 result — which batch a request lands in is purely a latency/throughput
-decision, and the serving benchmark's ``--smoke`` mode asserts exactly that.
+decision, and ``tests/serve/test_http_server.py`` asserts exactly that.
 """
 
 from __future__ import annotations

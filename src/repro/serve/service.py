@@ -18,8 +18,7 @@ Three serving concerns are handled here:
   record-pair identity.  Re-scoring a pair after a model hot-swap hits the
   cache even though the risk scores change.
 * **Statistics** — the service counts pairs, batches, cache hits and scoring
-  time so operators (and ``benchmarks/bench_serving_throughput.py``) can watch
-  throughput and cache effectiveness.
+  time so operators can watch throughput and cache effectiveness.
 
 All public methods are thread-safe; a single lock serialises scoring, which
 keeps the numpy pipeline components (which are not re-entrant during a forward

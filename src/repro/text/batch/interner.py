@@ -107,7 +107,7 @@ class _ColumnMirror:
     Batch kernels gather per-entry data with numpy fancy indexing — one
     vectorised operation instead of a Python loop of list lookups (which, at
     one traced allocation per element, dominates the cost of small kernels
-    under ``tracemalloc``-instrumented benchmarks).  The mirror trails its
+    under ``tracemalloc``).  The mirror trails its
     source list with a fill watermark and doubles capacity on growth, so a
     warm sync is a bounds check.  ``transform`` (a module-level function, to
     keep the mirror picklable) derives the mirrored value from the source

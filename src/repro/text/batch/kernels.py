@@ -13,8 +13,8 @@ Kernels never walk Python lists per row: the missing-value preludes, size
 gathers and id gathers all fancy-index the view's numpy mirror columns, and
 set rows are packed into padded blocks with one vectorised scatter.  This
 matters beyond raw speed — per-element Python work costs one traced
-allocation per element under ``tracemalloc``, which is exactly how the
-streaming benchmark measures the scoring pipeline.
+allocation per element under ``tracemalloc``, which is how
+``benchmarks/bench_layers.py`` takes the scoring pipeline's peak memory.
 
 **Bit-exactness is the contract.**  Every kernel reproduces its scalar
 counterpart's arithmetic exactly, not approximately:

@@ -122,7 +122,7 @@ class TestExplainPayloads:
     def test_fired_rules_match_kernel_membership(self, obs_pipeline, scoring_pairs):
         matrix = obs_pipeline.vectorizer.transform(scoring_pairs)
         probabilities, _ = obs_pipeline.classify_matrix(matrix)
-        membership = obs_pipeline.risk_model.features.rule_matrix(matrix)
+        membership = obs_pipeline.risk_model.features.membership(matrix)
         explanations = obs_pipeline.explain_pairs(scoring_pairs)
         assert len(explanations) == len(scoring_pairs)
         for row, explanation in enumerate(explanations):

@@ -79,15 +79,6 @@ class TestSpans:
         with pytest.raises(ValueError):
             MetricsRegistry().span("a.b")
 
-    def test_timer_records_into_flat_histogram(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        with registry.timer("cell"):
-            pass
-        histogram = registry.histogram("cell")
-        assert histogram is not None
-        assert histogram.count == 1
-        assert histogram.minimum == 1.0  # exactly one clock tick inside
-
 
 class TestSnapshotAndReset:
     def test_snapshot_layout(self, tmp_path):
@@ -178,8 +169,7 @@ class TestNullRecorderOverhead:
         recorder.gauge("g", 1)
         recorder.observe("h", 1.0)
         with recorder.span("s"):
-            with recorder.timer("t"):
-                pass
+            pass
         assert recorder.counter_value("n") == 0
         assert recorder.histogram("h") is None
         assert recorder.span_totals() == {}
@@ -187,11 +177,10 @@ class TestNullRecorderOverhead:
         assert snapshot["counters"] == {} and snapshot["spans"] == {}
 
     def test_null_span_is_one_shared_context(self):
-        # The disabled hot path must not allocate: span()/timer() hand back
-        # the same reusable no-op context every time.
+        # The disabled hot path must not allocate: span() hands back the same
+        # reusable no-op context every time.
         recorder = NullRecorder()
         assert recorder.span("a") is recorder.span("b")
-        assert recorder.timer("a") is recorder.span("a")
 
     def test_null_recorder_overhead_is_bounded(self):
         # Generous wall-clock guard (not a micro-benchmark): 100k disabled

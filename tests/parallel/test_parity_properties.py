@@ -182,9 +182,9 @@ class TestAggregateParity:
         workload = make_random_workload(parallel_split, seed=10, size=29)
         features = fitted_pipeline.risk_features
         matrix = fitted_pipeline.vectorizer.transform(workload.pairs)
-        eager = features.rule_matrix(matrix)
+        eager = features.membership(matrix)
         chunked = np.vstack([
-            features.rule_matrix(
+            features.membership(
                 fitted_pipeline.vectorizer.transform(workload.pairs[start:start + 4])
             )
             for start in range(0, len(workload.pairs), 4)

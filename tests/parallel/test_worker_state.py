@@ -43,7 +43,7 @@ class TestKernelPickleSafety:
         features = fitted_pipeline.risk_features
         matrix = fitted_pipeline.vectorizer.transform(parallel_split.test.pairs[:25])
         restored = pickle.loads(pickle.dumps(features))
-        assert np.array_equal(restored.rule_matrix(matrix), features.rule_matrix(matrix))
+        assert np.array_equal(restored.membership(matrix), features.membership(matrix))
 
     def test_warm_kernel_is_explicit_and_reusable(self, fitted_pipeline):
         features = fitted_pipeline.risk_features

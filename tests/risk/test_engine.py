@@ -4,17 +4,29 @@ The central guarantee is parity: the compiled kernel must produce exactly the
 membership the legacy per-rule Python loop produced, for every rule shape the
 generated forest contains and for every degenerate input the scoring paths
 can see (NaN metric values, empty rule sets, empty batches, single rows).
+That loop lives on below as :func:`legacy_rule_matrix`, the parity oracle,
+and the kernel must also stay faster than it.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.risk.engine import PackedMembership, RuleKernel, legacy_rule_matrix
-from repro.risk.portfolio import aggregate_portfolio
+from repro.risk.engine import RuleKernel
 from repro.risk.rules import Condition, RiskRule
+
+
+def legacy_rule_matrix(rules: Sequence[RiskRule], metric_matrix: np.ndarray) -> np.ndarray:
+    """The pre-kernel per-rule Python loop: one ``coverage`` call per rule."""
+    metric_matrix = np.asarray(metric_matrix, dtype=float)
+    if not rules:
+        return np.zeros((len(metric_matrix), 0), dtype=float)
+    return np.column_stack([rule.coverage(metric_matrix).astype(float) for rule in rules])
 
 
 def make_rule(conds: list[tuple[int, float, bool]], label: int = 1) -> RiskRule:
@@ -86,7 +98,7 @@ class TestKernelParity:
         assert len(features.rules) > 0
         matrix = prepared_ds.test.features
         np.testing.assert_array_equal(
-            features.rule_matrix(matrix), features.rule_matrix_legacy(matrix)
+            features.membership(matrix), legacy_rule_matrix(features.rules, matrix)
         )
 
     def test_generated_forest_parity_with_nans(self, prepared_ds):
@@ -95,7 +107,7 @@ class TestKernelParity:
         rng = np.random.default_rng(11)
         matrix[rng.random(matrix.shape) < 0.1] = np.nan
         np.testing.assert_array_equal(
-            features.rule_matrix(matrix), legacy_rule_matrix(features.rules, matrix)
+            features.membership(matrix), legacy_rule_matrix(features.rules, matrix)
         )
 
     def test_chunked_evaluation_matches_unchunked(self, mixed_rules, random_matrix):
@@ -104,6 +116,43 @@ class TestKernelParity:
         np.testing.assert_array_equal(
             chunked.membership(random_matrix), whole.membership(random_matrix)
         )
+
+
+def forest_rules(n_rules: int, n_metrics: int, rng: np.random.Generator) -> list[RiskRule]:
+    """Synthetic rules shaped like a one-sided forest: 8 leaves share each root split."""
+    rules: list[RiskRule] = []
+    while len(rules) < n_rules:
+        root = (int(rng.integers(0, n_metrics)), float(rng.random()), bool(rng.integers(0, 2)))
+        for _ in range(8):
+            extra = [
+                (int(rng.integers(0, n_metrics)), round(float(rng.random()), 2),
+                 bool(rng.integers(0, 2)))
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            rules.append(make_rule([root, *extra]))
+    return rules[:n_rules]
+
+
+def seconds_of(run) -> float:
+    started = time.perf_counter()
+    run()
+    return time.perf_counter() - started
+
+
+class TestKernelSpeed:
+    def test_kernel_beats_the_legacy_loop(self):
+        # Best of 5 at 10,000 pairs x 50 rules.  The kernel reads ~5x faster,
+        # so the bar only trips on a real regression, not on a noisy worker.
+        rng = np.random.default_rng(0)
+        rules = forest_rules(50, 20, rng)
+        matrix = rng.random((10_000, 20))
+        matrix[rng.random(matrix.shape) < 0.01] = np.nan
+        kernel = RuleKernel(rules)
+        legacy, fused = [], []
+        for _ in range(5):
+            legacy.append(seconds_of(lambda: legacy_rule_matrix(rules, matrix)))
+            fused.append(seconds_of(lambda: kernel.membership(matrix)))
+        assert min(legacy) / min(fused) > 1.0
 
 
 class TestKernelEdgeCases:
@@ -148,51 +197,6 @@ class TestKernelEdgeCases:
         assert kernel.n_unique_conditions < kernel.n_conditions
 
 
-class TestPackedMembership:
-    def test_round_trip(self, mixed_rules, random_matrix):
-        kernel = RuleKernel(mixed_rules)
-        packed = kernel.membership_packed(random_matrix)
-        assert isinstance(packed, PackedMembership)
-        assert packed.shape == (len(random_matrix), len(mixed_rules))
-        assert len(packed) == len(random_matrix)
-        assert packed.nbytes < kernel.membership(random_matrix).nbytes
-        np.testing.assert_array_equal(
-            packed.unpack(float), kernel.membership(random_matrix)
-        )
-
-    def test_empty_rules(self, random_matrix):
-        packed = RuleKernel([]).membership_packed(random_matrix)
-        assert packed.unpack(float).shape == (len(random_matrix), 0)
-
-    def test_aggregate_portfolio_accepts_packed(self, mixed_rules, random_matrix):
-        kernel = RuleKernel(mixed_rules)
-        n_rules = len(mixed_rules)
-        weights = np.linspace(0.5, 1.5, n_rules)
-        means = np.linspace(0.1, 0.9, n_rules)
-        stds = np.full(n_rules, 0.1)
-        dense = aggregate_portfolio(kernel.membership(random_matrix), weights, means, stds)
-        packed = aggregate_portfolio(kernel.membership_packed(random_matrix), weights, means, stds)
-        np.testing.assert_array_equal(dense.means, packed.means)
-        np.testing.assert_array_equal(dense.variances, packed.variances)
-
-    def test_aggregate_portfolio_packed_chunking_is_exact(self, mixed_rules, random_matrix,
-                                                          monkeypatch):
-        # The packed path unpacks in bounded chunks; chunking must not change
-        # a single bit of the aggregate.
-        import repro.risk.portfolio as portfolio_module
-
-        kernel = RuleKernel(mixed_rules)
-        n_rules = len(mixed_rules)
-        weights = np.linspace(0.5, 1.5, n_rules)
-        means = np.linspace(0.1, 0.9, n_rules)
-        stds = np.full(n_rules, 0.1)
-        dense = aggregate_portfolio(kernel.membership(random_matrix), weights, means, stds)
-        monkeypatch.setattr(portfolio_module, "_PACKED_CHUNK_ROWS", 17)
-        packed = aggregate_portfolio(kernel.membership_packed(random_matrix), weights, means, stds)
-        np.testing.assert_array_equal(dense.means, packed.means)
-        np.testing.assert_array_equal(dense.variances, packed.variances)
-
-
 class TestFeaturesKernelCache:
     def test_kernel_is_reused_across_calls(self, prepared_ds):
         features = prepared_ds.risk_features
@@ -214,9 +218,9 @@ class TestFeaturesKernelCache:
 
         features = GeneratedRiskFeatures(rules=[make_rule([(0, 0.5, True)])], vectorizer=None)
         matrix = np.array([[0.9]])
-        assert features.rule_matrix(matrix)[0, 0] == 0.0
+        assert features.membership(matrix)[0, 0] == 0.0
         features.rules = [make_rule([(0, 0.99, True)])]
-        assert features.rule_matrix(matrix)[0, 0] == 1.0
+        assert features.membership(matrix)[0, 0] == 1.0
 
     def test_explicit_invalidation(self, prepared_ds):
         features = prepared_ds.risk_features
@@ -232,12 +236,5 @@ class TestFeaturesKernelCache:
         restored = GeneratedRiskFeatures.from_state(features.to_state())
         matrix = prepared_ds.test.features
         np.testing.assert_array_equal(
-            restored.rule_matrix(matrix), features.rule_matrix(matrix)
+            restored.membership(matrix), features.membership(matrix)
         )
-
-    def test_membership_packed_flag(self, prepared_ds):
-        features = prepared_ds.risk_features
-        matrix = prepared_ds.test.features
-        packed = features.membership(matrix, packed=True)
-        assert isinstance(packed, PackedMembership)
-        np.testing.assert_array_equal(packed.unpack(float), features.membership(matrix))

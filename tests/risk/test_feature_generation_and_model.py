@@ -31,7 +31,7 @@ class TestRiskFeatureGeneration:
                 assert rule.expectation < 0.5
 
     def test_rule_matrix_binary_and_matching_coverage(self, prepared_ds):
-        matrix = prepared_ds.risk_features.rule_matrix(prepared_ds.test.features)
+        matrix = prepared_ds.risk_features.membership(prepared_ds.test.features)
         assert matrix.shape == (len(prepared_ds.test.workload), len(prepared_ds.risk_features.rules))
         assert set(np.unique(matrix)) <= {0.0, 1.0}
 
@@ -146,7 +146,7 @@ class TestLearnRiskModel:
         than a pair whose covering rules agree, all else being equal."""
         model = LearnRiskModel(prepared_ds.risk_features)
         test = prepared_ds.test
-        membership = prepared_ds.risk_features.rule_matrix(test.features)
+        membership = prepared_ds.risk_features.membership(test.features)
         expectations = np.array([rule.expectation for rule in prepared_ds.risk_features.rules])
         scores = model.score(test.features, test.probabilities, test.machine_labels)
 

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from repro.classifiers import LogisticRegressionClassifier, MLPClassifier
+from repro.compose import create_source
 from repro.data import split_workload
 from repro.data.io import export_workload
 from repro.exceptions import ConfigurationError
 from repro.pipeline import LearnRiskPipeline
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
-from repro.serve import ModelRegistry, save_pipeline
+from repro.serve import ModelRegistry, RiskService, load_pipeline, save_pipeline
 from repro.serve.cli import main
 
 
@@ -362,6 +363,13 @@ class TestCli:
         assert set(rows[0]) == {
             "left_id", "right_id", "probability", "machine_label", "risk_score"
         }
+        # The streamed CSV carries exactly the scores of the same blocked
+        # source materialised and scored in one eager call.
+        source = create_source("blocked", json.loads(source_file.read_text())["params"], 0)
+        eager = RiskService(load_pipeline(fitted_model_dir)).score_pairs(
+            source.materialize().pairs
+        )
+        assert [float(row["risk_score"]) for row in rows] == [one.risk_score for one in eager]
 
     def test_score_source_without_chunk_size(self, fitted_model_dir, tmp_path, capsys):
         source_file = tmp_path / "source.json"
