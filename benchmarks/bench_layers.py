@@ -140,8 +140,7 @@ def worker_gate(gates: dict, model_dir: Path) -> None:
     """At least 2x at 4 workers, where 4 cores exist (best of two tries)."""
     cores = len(os.sched_getaffinity(0))
     if cores < 4:
-        gates["workers"] = {"passed": True, "skipped": f"{cores} core(s) available"}
-        print(f"  {'workers':<16} skipped ({cores} core(s) available)")
+        check(gates, "workers", True, skipped=f"{cores} core(s) available")
         return
     pipeline, workload = load_pipeline(model_dir), scoring_workload(WORKER_PAIRS)
     speedup = 0.0
