@@ -58,8 +58,8 @@ The subcommands cover the model lifecycle:
 ``http``
     Serve a saved model over HTTP (:mod:`repro.serve.http`): an asyncio
     server with micro-batch request coalescing — concurrent single-pair
-    ``POST /score`` requests share one kernel-warm batch (``--coalesce-batch-
-    size`` / ``--linger-ms`` bound the batch size and the added latency) —
+    ``POST /score`` requests share one kernel-warm batch, flushed at
+    ``--coalesce-batch-size`` requests or a fixed 2 ms after the oldest —
     plus ``POST /explain`` (decision-level payloads), ``GET /stats`` (the
     :mod:`repro.obs` snapshot), ``GET /healthz``, ``GET /models`` and
     ``POST /models/swap`` / ``/models/rollback`` driving the
@@ -524,13 +524,12 @@ def _cmd_http(args: argparse.Namespace) -> int:
     """Serve a saved model over HTTP until interrupted."""
     import asyncio
 
-    from .http import ServerConfig, build_server
+    from .http import LINGER_SECONDS, ServerConfig, build_server
 
     config = ServerConfig(
         host=args.host,
         port=args.port,
         coalesce_batch_size=args.coalesce_batch_size,
-        coalesce_linger_seconds=args.linger_ms / 1000.0,
         service_batch_size=args.batch_size,
         service_cache_size=args.cache_size,
     )
@@ -560,7 +559,7 @@ def _cmd_http(args: argparse.Namespace) -> int:
             )
         print(
             f"  coalescing: batch<= {config.coalesce_batch_size}, "
-            f"linger {args.linger_ms:g}ms; " + endpoints,
+            f"linger {LINGER_SECONDS * 1e3:g}ms; " + endpoints,
             flush=True,
         )
         try:
@@ -843,9 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     http_cmd.add_argument("--coalesce-batch-size", type=_positive_int, default=64,
                           help="max single-pair requests coalesced into one "
                                "scoring batch (default 64)")
-    http_cmd.add_argument("--linger-ms", type=float, default=2.0,
-                          help="max milliseconds a single-pair request waits "
-                               "for batch-mates (default 2.0)")
     http_cmd.add_argument("--resolve-attributes",
                           help="enable the online-resolution endpoints "
                                "(POST /resolve, GET /clusters/{id}, GET /events, "

@@ -9,8 +9,9 @@ service with micro-batch request coalescing:
   request/response layer over asyncio streams;
 * :mod:`~repro.serve.http.coalescer` — :class:`MicroBatchCoalescer` gathers
   concurrent single-pair ``/score`` requests into one kernel-warm batch
-  (bounded size + max-linger deadline, per-request futures, per-item error
-  isolation); the sans-IO :class:`CoalescerCore` holds the timing logic;
+  (flushed at the batch cap or a fixed 2 ms after its oldest request,
+  per-request futures, per-item error isolation); the sans-IO
+  :class:`CoalescerCore` holds the timing logic;
 * :mod:`~repro.serve.http.schemas` — the versioned JSON wire format;
 * :mod:`~repro.serve.http.router` / :mod:`~repro.serve.http.handlers` — the
   endpoint table (``/score``, ``/explain``, ``/stats``, ``/healthz``,
@@ -33,7 +34,7 @@ or from the command line: ``python -m repro.serve http --model models/ds-v1
 --port 8080``.
 """
 
-from .coalescer import CoalescerCore, MicroBatchCoalescer, PendingEntry, TakenBatch
+from .coalescer import LINGER_SECONDS, CoalescerCore, MicroBatchCoalescer, PendingEntry, TakenBatch
 from .protocol import HttpError, HttpRequest, read_request, render_response
 from .router import Router, default_router
 from .schemas import SCHEMA_VERSION, pair_to_payload, scored_pair_payload
@@ -43,6 +44,7 @@ __all__ = [
     "CoalescerCore",
     "HttpError",
     "HttpRequest",
+    "LINGER_SECONDS",
     "MicroBatchCoalescer",
     "PendingEntry",
     "RiskHTTPServer",

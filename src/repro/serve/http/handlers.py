@@ -34,7 +34,7 @@ error response.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs
@@ -59,13 +59,11 @@ class AppState:
     model_name: str
     coalescer: "MicroBatchCoalescer"
     metrics: MetricsRegistry
-    #: Knobs echoed by /healthz and /stats so operators can see the config.
+    #: The coalescer's batch cap, echoed by /healthz.
     coalesce_batch_size: int = 0
-    coalesce_linger_seconds: float = 0.0
     #: The online resolver behind /resolve, /clusters and /events; ``None``
     #: until the server is built with an online policy (the endpoints 503).
     resolver: "OnlineResolver | None" = None
-    extra: dict = field(default_factory=dict)
 
     def service(self) -> RiskService:
         """The active version's service (resolved per call — hot-swap aware)."""
@@ -86,10 +84,7 @@ async def handle_healthz(state: AppState, request: HttpRequest) -> tuple[int, di
         status="ok",
         model=state.model_name,
         active_version=state.registry.active_version(state.model_name),
-        coalescing={
-            "max_batch_size": state.coalesce_batch_size,
-            "max_linger_seconds": state.coalesce_linger_seconds,
-        },
+        coalescing={"max_batch_size": state.coalesce_batch_size},
     )
 
 

@@ -93,10 +93,6 @@ class Router:
             )
         raise HttpError(404, f"no such endpoint: {path}")
 
-    def resolve(self, method: str, path: str) -> Route:
-        """The route alone (back-compat wrapper around :meth:`match`)."""
-        return self.match(method, path)[0]
-
     def routes(self) -> list[Route]:
         """Every registered route (the endpoint table, for /models and docs)."""
         return sorted(

@@ -34,33 +34,34 @@ from ..registry import ModelRegistry
 from . import schemas
 from .coalescer import MicroBatchCoalescer
 from .handlers import AppState
-from .protocol import HttpError, read_request, render_response
+from .protocol import MAX_BODY_BYTES, HttpError, read_request, render_response
 from .router import Router, default_router
 
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """The serving tier's knobs (validated at server construction)."""
+    """The serving tier's knobs (validated at server construction).
+
+    The coalescer's linger is not one: a single-pair ``/score`` batch flushes
+    at ``coalesce_batch_size`` requests or a fixed 2 ms
+    (:data:`~repro.serve.http.coalescer.LINGER_SECONDS`) after its oldest.
+    """
 
     host: str = "127.0.0.1"
     port: int = 8080  # 0 binds an ephemeral port (tests, benchmarks)
-    #: Coalescer: single-pair /score requests flush at this shared batch size...
+    #: Coalescer: single-pair /score requests flush at this shared batch size.
     coalesce_batch_size: int = 64
-    #: ...or when the oldest waiting request has lingered this many seconds.
-    coalesce_linger_seconds: float = 0.002
     #: RiskService options for every service the registry builds.
     service_batch_size: int = 256
     service_cache_size: int = 4096
     #: Hard cap on one request body.
-    max_body_bytes: int = 32 * 1024 * 1024
+    max_body_bytes: int = MAX_BODY_BYTES
 
     def validate(self) -> None:
         if self.port < 0 or self.port > 65535:
             raise ConfigurationError("port must be in [0, 65535]")
         if self.coalesce_batch_size < 1:
             raise ConfigurationError("coalesce_batch_size must be >= 1")
-        if self.coalesce_linger_seconds < 0:
-            raise ConfigurationError("coalesce_linger_seconds must be >= 0")
         if self.service_batch_size < 1:
             raise ConfigurationError("service_batch_size must be >= 1")
         if self.max_body_bytes < 1:
@@ -85,8 +86,6 @@ class RiskHTTPServer:
     resolver:
         Optional :class:`~repro.online.OnlineResolver` behind the
         ``/resolve`` endpoint family; without one those endpoints 503.
-    clock:
-        Injectable monotonic clock for request timing (tests).
     """
 
     def __init__(
@@ -98,7 +97,6 @@ class RiskHTTPServer:
         metrics: MetricsRegistry | None = None,
         router: Router | None = None,
         resolver=None,
-        clock=time.perf_counter,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
         self.config.validate()
@@ -106,11 +104,9 @@ class RiskHTTPServer:
         self.model_name = model_name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.router = router if router is not None else default_router()
-        self._clock = clock
         self.coalescer = MicroBatchCoalescer(
             self._score_coalesced_batch,
             max_batch_size=self.config.coalesce_batch_size,
-            max_linger=self.config.coalesce_linger_seconds,
             metrics=self.metrics,
         )
         self.state = AppState(
@@ -119,7 +115,6 @@ class RiskHTTPServer:
             coalescer=self.coalescer,
             metrics=self.metrics,
             coalesce_batch_size=self.config.coalesce_batch_size,
-            coalesce_linger_seconds=self.config.coalesce_linger_seconds,
             resolver=resolver,
         )
         self._server: asyncio.AbstractServer | None = None
@@ -207,7 +202,7 @@ class RiskHTTPServer:
         })
 
     async def _dispatch(self, request) -> tuple[int, bytes]:
-        started = self._clock()
+        started = time.perf_counter()
         route_name = "unrouted"
         try:
             route, path_params = self.router.match(request.method, request.path)
@@ -224,7 +219,7 @@ class RiskHTTPServer:
             status, payload = 500, self._error_payload(
                 500, f"internal error: {type(exc).__name__}: {exc}"
             )
-        elapsed = self._clock() - started
+        elapsed = time.perf_counter() - started
         self.metrics.apply(
             counters={
                 "http.requests": 1,

@@ -89,7 +89,7 @@ def key_paths(payload, prefix=""):
 
 
 def test_explain_response_bytes_match_golden(fitted_model_dir, golden_pairs):
-    config = ServerConfig(port=0, coalesce_batch_size=8, coalesce_linger_seconds=0.01)
+    config = ServerConfig(port=0, coalesce_batch_size=8)
     with ServerHandle.spawn(build_server(fitted_model_dir, config=config)) as handle:
         payload = {
             "pairs": [pair_to_payload(pair) for pair in golden_pairs],
@@ -115,7 +115,7 @@ def test_explain_response_bytes_match_golden(fitted_model_dir, golden_pairs):
 def test_stats_response_structure_matches_golden(fitted_model_dir, golden_pairs):
     # A dedicated server so the scripted sequence is the *only* traffic the
     # snapshot has seen — the key set is then fully deterministic.
-    config = ServerConfig(port=0, coalesce_batch_size=8, coalesce_linger_seconds=0.01)
+    config = ServerConfig(port=0, coalesce_batch_size=8)
     with ServerHandle.spawn(build_server(fitted_model_dir, config=config)) as handle:
         address = handle.address
         raw_request(address, "GET", "/healthz")

@@ -4,8 +4,9 @@ The timing logic (:class:`CoalescerCore`) is sans-IO and driven here with a
 hand-advanced fake clock — no sleeps, no real time.  The asyncio wrapper
 (:class:`MicroBatchCoalescer`) is exercised with deterministic triggers:
 full-batch flushes (fullness, not time, decides), per-item error isolation,
-result-count validation and shutdown draining all use lingers far longer than
-the test so the wall clock never participates in the assertion.
+result-count validation and shutdown draining all run on a frozen fake clock,
+so the fixed linger deadline never arrives and the wall clock never
+participates in the assertion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRegistry
-from repro.serve.http import CoalescerCore, MicroBatchCoalescer
+from repro.serve.http import LINGER_SECONDS, CoalescerCore, MicroBatchCoalescer
 
 
 class FakeClock:
@@ -34,47 +35,40 @@ class TestCoalescerCore:
     def test_validates_options(self):
         with pytest.raises(ConfigurationError):
             CoalescerCore(max_batch_size=0)
-        with pytest.raises(ConfigurationError):
-            CoalescerCore(max_linger=-0.1)
 
     def test_deadline_pinned_to_oldest_entry(self):
         clock = FakeClock(10.0)
-        core = CoalescerCore(max_batch_size=8, max_linger=2.0, clock=clock)
+        core = CoalescerCore(max_batch_size=8, clock=clock)
         assert core.deadline() is None
         core.add("a")
-        assert core.deadline() == 12.0
+        assert core.deadline() == 10.0 + LINGER_SECONDS
         # Later arrivals never extend the oldest entry's deadline.
-        clock.advance(1.5)
+        clock.advance(0.75 * LINGER_SECONDS)
         core.add("b")
-        assert core.deadline() == 12.0
+        assert core.deadline() == 10.0 + LINGER_SECONDS
 
     def test_ready_at_linger_deadline_not_before(self):
         clock = FakeClock(100.0)
-        core = CoalescerCore(max_batch_size=8, max_linger=0.5, clock=clock)
+        core = CoalescerCore(max_batch_size=8, clock=clock)
         core.add("a")
         assert not core.ready(100.0)
-        assert not core.ready(100.499)
-        assert core.ready(100.5)
-        assert core.ready(101.0)
+        assert not core.ready(100.0 + 0.999 * LINGER_SECONDS)
+        clock.advance(LINGER_SECONDS)
+        assert core.ready(clock.now)
+        assert core.ready(clock.now + 1.0)
 
     def test_full_batch_ready_regardless_of_clock(self):
         clock = FakeClock(0.0)
-        core = CoalescerCore(max_batch_size=3, max_linger=60.0, clock=clock)
+        core = CoalescerCore(max_batch_size=3, clock=clock)
         for item in ("a", "b"):
             core.add(item)
         assert not core.ready(0.0)
         core.add("c")
         assert core.ready(0.0)  # fullness overrides the linger deadline
 
-    def test_zero_linger_is_ready_immediately(self):
-        clock = FakeClock(5.0)
-        core = CoalescerCore(max_batch_size=8, max_linger=0.0, clock=clock)
-        core.add("a")
-        assert core.ready(5.0)
-
     def test_take_caps_at_batch_size_oldest_first(self):
         clock = FakeClock(0.0)
-        core = CoalescerCore(max_batch_size=2, max_linger=1.0, clock=clock)
+        core = CoalescerCore(max_batch_size=2, clock=clock)
         for index in range(5):
             clock.advance(0.1)
             core.add(index)
@@ -87,7 +81,7 @@ class TestCoalescerCore:
 
     def test_linger_waits_measure_each_entrys_queue_time(self):
         clock = FakeClock(0.0)
-        core = CoalescerCore(max_batch_size=4, max_linger=10.0, clock=clock)
+        core = CoalescerCore(max_batch_size=4, clock=clock)
         core.add("old")
         clock.advance(3.0)
         core.add("young")
@@ -96,7 +90,7 @@ class TestCoalescerCore:
         assert batch.linger_waits == (4.0, 1.0)
 
     def test_empty_take(self):
-        core = CoalescerCore(max_batch_size=4, max_linger=1.0, clock=FakeClock())
+        core = CoalescerCore(max_batch_size=4, clock=FakeClock())
         batch = core.take(0.0)
         assert len(batch) == 0
         assert batch.queue_depth_after == 0
@@ -124,7 +118,7 @@ class TestMicroBatchCoalescer:
 
         async def scenario():
             coalescer = MicroBatchCoalescer(
-                scorer, max_batch_size=4, max_linger=60.0, metrics=metrics
+                scorer, max_batch_size=4, clock=FakeClock(), metrics=metrics
             )
             results = await asyncio.gather(*(coalescer.submit(i) for i in range(4)))
             await coalescer.stop()
@@ -132,7 +126,8 @@ class TestMicroBatchCoalescer:
 
         results = asyncio.run(scenario())
         assert results == [f"scored:{i}" for i in range(4)]
-        # Fullness (not the 60s linger) flushed: exactly one shared batch.
+        # Fullness (the frozen clock never reaches the deadline) flushed:
+        # exactly one shared batch.
         assert scorer.batches == [[0, 1, 2, 3]]
         counters, _ = metrics.values()
         assert counters["coalesce.batches"] == 1
@@ -143,7 +138,7 @@ class TestMicroBatchCoalescer:
         scorer = RecordingScorer()
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(scorer, max_batch_size=100, max_linger=0.02)
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=100)
             results = await asyncio.gather(*(coalescer.submit(i) for i in range(3)))
             await coalescer.stop()
             return results
@@ -156,7 +151,7 @@ class TestMicroBatchCoalescer:
         scorer = RecordingScorer(poison={"bad"})
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(scorer, max_batch_size=3, max_linger=60.0)
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=3, clock=FakeClock())
             results = await asyncio.gather(
                 coalescer.submit("a"),
                 coalescer.submit("bad"),
@@ -181,7 +176,7 @@ class TestMicroBatchCoalescer:
 
         async def scenario():
             coalescer = MicroBatchCoalescer(
-                scorer, max_batch_size=1, max_linger=60.0, metrics=metrics
+                scorer, max_batch_size=1, clock=FakeClock(), metrics=metrics
             )
             with pytest.raises(ValueError):
                 await coalescer.submit("bad")
@@ -194,9 +189,12 @@ class TestMicroBatchCoalescer:
         assert counters.get("coalesce.single_retries", 0) == 0
 
     def test_result_count_mismatch_fails_the_batch(self):
+        metrics = MetricsRegistry()
+
         async def scenario():
             coalescer = MicroBatchCoalescer(
-                lambda items: ["only-one"], max_batch_size=2, max_linger=60.0
+                lambda items: ["only-one"], max_batch_size=2, clock=FakeClock(),
+                metrics=metrics,
             )
             results = await asyncio.gather(
                 coalescer.submit("a"), coalescer.submit("b"), return_exceptions=True
@@ -206,13 +204,15 @@ class TestMicroBatchCoalescer:
 
         results = asyncio.run(scenario())
         assert all(isinstance(result, RuntimeError) for result in results)
+        counters, _ = metrics.values()
+        assert counters["coalesce.failed_items"] == 2
 
     def test_stop_drains_pending_futures(self):
         scorer = RecordingScorer()
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(scorer, max_batch_size=100, max_linger=3600.0)
-            # Far-future linger: nothing would flush on its own.
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=100, clock=FakeClock())
+            # Frozen clock: the deadline never arrives, nothing flushes on its own.
             pending = [asyncio.ensure_future(coalescer.submit(i)) for i in range(5)]
             while coalescer.pending_count < 5:
                 await asyncio.sleep(0)
@@ -237,7 +237,7 @@ class TestMicroBatchCoalescer:
         scorer = RecordingScorer()
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(scorer, max_batch_size=4, max_linger=0.01)
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=4)
             results = await asyncio.gather(*(coalescer.submit(i) for i in range(10)))
             await coalescer.stop()
             return results

@@ -67,7 +67,7 @@ def served(ds_workload, tmp_path_factory):
     save_pipeline(pipeline, model_dir)
     save_pipeline(second_pipeline, second_dir)
 
-    config = ServerConfig(port=0, coalesce_batch_size=64, coalesce_linger_seconds=0.05)
+    config = ServerConfig(port=0, coalesce_batch_size=64)
     server = build_server(model_dir, config=config)
     handle = ServerHandle.spawn(server)
     yield SimpleNamespace(
@@ -118,7 +118,7 @@ class TestBasicEndpoints:
         assert body["schema_version"] == SCHEMA_VERSION
         assert body["model"] == "default"
         assert body["active_version"] == 1
-        assert body["coalescing"]["max_batch_size"] == 64
+        assert body["coalescing"] == {"max_batch_size": 64}
 
     def test_models(self, served):
         status, body = http_json(served.address, "GET", "/models")
@@ -322,8 +322,6 @@ class TestServerConfig:
             ServerConfig(port=-1).validate()
         with pytest.raises(ConfigurationError):
             ServerConfig(coalesce_batch_size=0).validate()
-        with pytest.raises(ConfigurationError):
-            ServerConfig(coalesce_linger_seconds=-0.5).validate()
         with pytest.raises(ConfigurationError):
             ServerConfig(service_batch_size=0).validate()
         with pytest.raises(ConfigurationError):
