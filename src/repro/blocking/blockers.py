@@ -37,7 +37,7 @@ from ..data.records import Record, Table
 from ..exceptions import ConfigurationError
 from ..obs import get_recorder
 from ..registry import ComponentRegistry
-from .corpus import CorpusStream, CorpusWave, TableCorpus
+from .corpus import CorpusStream, CorpusWave
 from .index import BlockingIndex, InvertedIndex, MinHashIndex, record_token_set
 
 #: Default number of id pairs per emitted candidate chunk.

@@ -20,7 +20,9 @@ union-find over record keys (``"<source>:<record_id>"``, see
 Singleton clusters are implicit: every record the resolver has seen is a
 cluster of one until a merge says otherwise, and :meth:`to_dict` exports only
 multi-member clusters plus the constraint pairs — so the exported state is a
-pure function of the (non-reverted) merge/split decisions.
+pure function of the (non-reverted) merge/split decisions.  The store keeps a
+sorted member list per multi-member root, so reading a cluster costs its size,
+not the number of records seen.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ class ClusterStore:
         self._cannot_pairs: set[tuple[str, str]] = set()
         #: Root-level index of the pairs above, updated on every union.
         self._root_cannot: dict[str, set[str]] = {}
+        #: Sorted member keys of every multi-member cluster, by root.
+        self._members: dict[str, list[str]] = {}
 
     # ------------------------------------------------------------- membership
     def add(self, key: str) -> None:
@@ -96,6 +100,9 @@ class ClusterStore:
             )
         winner, loser = sorted((root_a, root_b))
         self._parent[loser] = winner
+        self._members[winner] = sorted(
+            self._members.pop(winner, [winner]) + self._members.pop(loser, [loser])
+        )
         # Re-root the loser's constraints onto the winner.
         moved = self._root_cannot.pop(loser, set())
         if moved:
@@ -121,20 +128,13 @@ class ClusterStore:
 
     # ------------------------------------------------------------- inspection
     def members(self, key: str) -> list[str]:
-        """Sorted member keys of the cluster containing ``key``."""
+        """Sorted member keys of the cluster containing ``key`` (a new list)."""
         root = self.find(key)
-        return sorted(k for k in self._parent if self.find(k) == root)
+        return list(self._members.get(root, (root,)))
 
     def clusters(self) -> dict[str, list[str]]:
-        """Every multi-member cluster as ``{root: sorted members}``."""
-        grouped: dict[str, list[str]] = {}
-        for key in self._parent:
-            grouped.setdefault(self.find(key), []).append(key)
-        return {
-            root: sorted(members)
-            for root, members in grouped.items()
-            if len(members) > 1
-        }
+        """Every multi-member cluster as ``{root: sorted members}``, by root."""
+        return {root: list(self._members[root]) for root in sorted(self._members)}
 
     def cannot_links(self) -> list[list[str]]:
         """The recorded cannot-link record-key pairs, sorted."""
@@ -149,9 +149,4 @@ class ClusterStore:
         bit-exact) invariant even though the live store also tracks records
         that never appeared in any decision.
         """
-        return {
-            "clusters": {
-                root: members for root, members in sorted(self.clusters().items())
-            },
-            "cannot_links": self.cannot_links(),
-        }
+        return {"clusters": self.clusters(), "cannot_links": self.cannot_links()}

@@ -10,9 +10,11 @@ compact JSON object per line (the convention the HTTP tier's golden fixtures
 pin), stamped with :data:`EVENT_SCHEMA_VERSION`.
 
 :class:`EventLog` is append-only: events get monotonically increasing
-sequence numbers and ids, optionally mirrored to a JSONL file on disk (each
-append is written and flushed before it is visible to readers).  Nothing is
-ever rewritten — a revert is itself an appended event, and
+sequence numbers and ids, optionally mirrored to a JSONL file on disk.  The
+file is opened once, on the first append, and each event is written and
+flushed on that held handle before it is visible to readers;
+:meth:`EventLog.close` (or leaving a ``with`` block) releases the handle.
+Nothing is ever rewritten — a revert is itself an appended event, and
 :func:`replay_events` rebuilds a :class:`ClusterStore` by applying every
 non-reverted merge/split in order.  Because cluster naming is deterministic
 (see :mod:`repro.online.cluster`), replay reconstructs the live store
@@ -29,7 +31,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 from ..exceptions import DataError
 from .cluster import ClusterStore
@@ -167,11 +169,17 @@ class EventLog:
         it is truncated away with a :class:`RuntimeWarning` naming the
         dropped byte count.  Any other malformed line raises
         :class:`~repro.exceptions.DataError`.
+
+    The file is opened for appending on the first :meth:`append` and held
+    until :meth:`close`; an append after ``close()`` opens it again.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
         self._lock = threading.Lock()
         self._events: list[ResolutionEvent] = []
+        #: Ids targeted by a ``revert`` event, kept current on load and append.
+        self._reverted: set[str] = set()
+        self._handle: IO[str] | None = None
         self.path = Path(path) if path is not None else None
         if self.path is not None and self.path.exists():
             data = self.path.read_bytes()
@@ -202,20 +210,44 @@ class EventLog:
                         f"event log {self.path} is not contiguous: "
                         f"expected sequence {index}, found {event.sequence}"
                     )
+                self._note_revert(event)
+
+    def _note_revert(self, event: ResolutionEvent) -> None:
+        if event.decision == "revert" and event.target_event_id is not None:
+            self._reverted.add(event.target_event_id)
 
     def append(self, **fields: Any) -> ResolutionEvent:
-        """Append one event (sequence assigned here); returns it."""
+        """Append one event (sequence assigned here); returns it.
+
+        With a path, the event's line is written and flushed on the held
+        handle before the event becomes visible to readers.
+        """
         with self._lock:
             event = ResolutionEvent(sequence=len(self._events) + 1, **fields)
             if event.decision not in DECISIONS:
                 raise DataError(f"unknown resolution decision {event.decision!r}")
             if self.path is not None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(event.to_json_line())
-                    handle.flush()
+                if self._handle is None:
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._handle = self.path.open("a", encoding="utf-8")
+                self._handle.write(event.to_json_line())
+                self._handle.flush()
             self._events.append(event)
+            self._note_revert(event)
             return event
+
+    def close(self) -> None:
+        """Release the file handle; the in-memory events stay readable."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    def __enter__(self) -> "EventLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def events(self, since: int = 0) -> list[ResolutionEvent]:
         """Events with ``sequence > since`` (a consistent snapshot)."""
@@ -235,13 +267,9 @@ class EventLog:
         raise DataError(f"unknown event id {event_id!r}")
 
     def reverted_event_ids(self) -> set[str]:
-        """Ids of events targeted by a ``revert`` event."""
+        """Ids of events targeted by a ``revert`` event (a copy)."""
         with self._lock:
-            return {
-                event.target_event_id
-                for event in self._events
-                if event.decision == "revert" and event.target_event_id is not None
-            }
+            return set(self._reverted)
 
     def __len__(self) -> int:
         with self._lock:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..blocking.corpus import CorpusStream, CorpusWave
@@ -42,7 +42,7 @@ from ..data.records import Record, RecordPair
 from ..exceptions import ConfigurationError, DataError
 from ..obs import get_recorder
 from ..registry import ComponentRegistry
-from .cluster import ClusterStore, record_key
+from .cluster import record_key
 from .events import EventLog, ResolutionEvent, STATE_DECISIONS, replay_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime serve import)
@@ -411,6 +411,16 @@ class OnlineResolver:
                 self.store.add(key)
             self._recorder().count("online.reverts")
             return event
+
+    def revert_with_state(self, event_id: str) -> tuple[ResolutionEvent, dict]:
+        """:meth:`revert`, and the :meth:`state_dict` it leaves, under one lock hold.
+
+        No decision another thread makes after the revert can show in the
+        returned state, so it always equals the replay of the log up to and
+        including the revert event.
+        """
+        with self._lock:
+            return self.revert(event_id), self.store.to_dict()
 
     # -------------------------------------------------------------- inspection
     def events(self, since: int = 0) -> list[ResolutionEvent]:

@@ -315,39 +315,24 @@ class LearnRiskModel:
         return np.argsort(-scores, kind="stable")
 
     # ------------------------------------------------------------ interpret
-    def _rule_contributions(
-        self,
-        membership_row: np.ndarray,
-        machine_probability: float,
-        rule_weights: np.ndarray,
-        rule_expectations: np.ndarray,
-        top_rules: int | None,
-    ) -> list[RuleContribution]:
-        """The ``top_rules`` heaviest fired features of one pair (all for ``None``)."""
-        output_weight = float(self.influence_weight(np.array([machine_probability]))[0])
-        contributions = feature_contributions(
-            membership_row, rule_weights, rule_expectations,
-            output_weight=output_weight, output_mean=machine_probability,
+    def _rule_contribution(
+        self, feature_index: int, share: float, machine_probability: float
+    ) -> RuleContribution:
+        """One kept feature of a pair's explanation (``-1``: the classifier output)."""
+        if feature_index == -1:
+            return RuleContribution(
+                rule_index=-1,
+                description=f"classifier output = {machine_probability:.3f}",
+                weight_share=share,
+                expectation=machine_probability,
+            )
+        rule = self.features.rules[feature_index]
+        return RuleContribution(
+            rule_index=feature_index,
+            description=rule.describe(),
+            weight_share=share,
+            expectation=rule.expectation,
         )
-        fired: list[RuleContribution] = []
-        # Cut before building entries, so only kept rules format a description.
-        for feature_index, share in contributions[:top_rules]:
-            if feature_index == -1:
-                fired.append(RuleContribution(
-                    rule_index=-1,
-                    description=f"classifier output = {machine_probability:.3f}",
-                    weight_share=share,
-                    expectation=float(machine_probability),
-                ))
-            else:
-                rule = self.features.rules[feature_index]
-                fired.append(RuleContribution(
-                    rule_index=int(feature_index),
-                    description=rule.describe(),
-                    weight_share=share,
-                    expectation=rule.expectation,
-                ))
-        return fired
 
     def explain_pairs(
         self,
@@ -365,7 +350,9 @@ class LearnRiskModel:
         bit-identical to :meth:`score` — the paper's interpretability payoff:
         a risky pair can be traced back to the human-readable rules
         responsible.  ``top_rules`` keeps each pair's heaviest rules (highest
-        weight share first).
+        weight share first).  Weights, shares and the kept rules are computed
+        for the whole batch at once (:func:`feature_contributions`); only the
+        kept rules are described.
         """
         metric_matrix = np.asarray(metric_matrix, dtype=float)
         machine_probabilities = np.asarray(machine_probabilities, dtype=float)
@@ -389,25 +376,37 @@ class LearnRiskModel:
                 distribution.means, stds, 1.0 - theta
             )
             interval_highs = truncated_normal_quantile(distribution.means, stds, theta)
-            rule_weights = self.rule_weights
-            rule_expectations = self.rule_expectations
-            explanations: list[PairRiskExplanation] = []
-            for row in range(len(metric_matrix)):
-                fired = self._rule_contributions(
-                    membership[row], float(machine_probabilities[row]),
-                    rule_weights, rule_expectations, top_rules,
+            contributions = feature_contributions(
+                membership,
+                self.rule_weights,
+                self.influence_weight(machine_probabilities),
+                top_rules=top_rules,
+            )
+            return [
+                PairRiskExplanation(
+                    machine_probability=probability,
+                    machine_label=label,
+                    risk_score=risk_score,
+                    equivalence_mean=mean,
+                    equivalence_std=std,
+                    interval_low=low,
+                    interval_high=high,
+                    fired_rules=[
+                        self._rule_contribution(index, share, probability)
+                        for index, share in kept
+                    ],
                 )
-                explanations.append(PairRiskExplanation(
-                    machine_probability=float(machine_probabilities[row]),
-                    machine_label=int(machine_labels[row]),
-                    risk_score=float(risk_scores[row]),
-                    equivalence_mean=float(distribution.means[row]),
-                    equivalence_std=float(stds[row]),
-                    interval_low=float(interval_lows[row]),
-                    interval_high=float(interval_highs[row]),
-                    fired_rules=fired,
-                ))
-            return explanations
+                for probability, label, risk_score, mean, std, low, high, kept in zip(
+                    machine_probabilities.tolist(),
+                    machine_labels.tolist(),
+                    risk_scores.tolist(),
+                    distribution.means.tolist(),
+                    stds.tolist(),
+                    interval_lows.tolist(),
+                    interval_highs.tolist(),
+                    contributions,
+                )
+            ]
 
     # ------------------------------------------------------------ persistence
     STATE_KIND = "learn_risk_model"

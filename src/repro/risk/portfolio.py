@@ -106,29 +106,39 @@ def aggregate_portfolio(
 
 
 def feature_contributions(
-    membership_row: np.ndarray,
+    membership: np.ndarray,
     rule_weights: np.ndarray,
-    rule_means: np.ndarray,
-    output_weight: float | None = None,
-    output_mean: float | None = None,
-) -> list[tuple[int, float]]:
-    """Per-feature contribution shares to one pair's aggregated expectation.
+    output_weights: np.ndarray,
+    top_rules: int | None = None,
+) -> list[list[tuple[int, float]]]:
+    """Each pair's fired features by share of its portfolio weight, heaviest first.
 
-    Returns ``(feature_index, share)`` tuples where ``feature_index`` is the
-    rule index or ``-1`` for the classifier-output feature, and the shares sum
-    to 1.  Used by the interpretability API (:meth:`LearnRiskModel.explain_pairs`).
+    For every row of ``membership``: ``(feature_index, share)`` tuples, where
+    ``feature_index`` is the rule index or ``-1`` for the classifier-output
+    feature and a pair's shares sum to 1; ``top_rules`` keeps the first
+    ``top_rules`` (``None`` keeps all).  Equal shares keep rule-index order,
+    the classifier output last.  A pair whose total weight is at most
+    ``1e-12`` gets no entries.  Used by the interpretability API
+    (:meth:`LearnRiskModel.explain_pairs`).
     """
-    membership_row = np.asarray(membership_row, dtype=float)
-    weights = membership_row * np.asarray(rule_weights, dtype=float)
-    total = float(weights.sum())
-    contributions: list[tuple[int, float]] = []
-    if output_weight is not None:
-        total += float(output_weight)
-    if total <= _MINIMUM_TOTAL_WEIGHT:
-        return contributions
-    for index in np.nonzero(membership_row > 0)[0]:
-        contributions.append((int(index), float(weights[index] / total)))
-    if output_weight is not None:
-        contributions.append((-1, float(output_weight / total)))
-    contributions.sort(key=lambda item: -item[1])
+    membership = np.asarray(membership, dtype=float)
+    n_pairs, n_rules = membership.shape
+    # C order: each row total is then the same pairwise sum a 1-D row's
+    # ``.sum()`` takes, so the shares do not depend on the batch's layout.
+    weights = np.ascontiguousarray(membership * np.asarray(rule_weights, dtype=float))
+    output_weights = np.asarray(output_weights, dtype=float)
+    totals = weights.sum(axis=1) + output_weights
+    covered = totals > _MINIMUM_TOTAL_WEIGHT
+    features = np.concatenate([weights, output_weights[:, None]], axis=1)
+    shares = features / np.where(covered, totals, 1.0)[:, None]
+    fired = np.concatenate([membership > 0, np.ones((n_pairs, 1), dtype=bool)], axis=1)
+    order = np.argsort(np.where(fired, -shares, np.inf), axis=1, kind="stable")
+    counts = np.where(covered, fired.sum(axis=1), 0)
+    if top_rules is not None:
+        counts = np.minimum(counts, top_rules)
+    labels = np.append(np.arange(n_rules), -1)
+    contributions: list[list[tuple[int, float]]] = []
+    for kept, row_shares, count in zip(order, shares, counts.tolist()):
+        kept = kept[:count]
+        contributions.append(list(zip(labels[kept].tolist(), row_shares[kept].tolist())))
     return contributions

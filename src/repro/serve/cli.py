@@ -499,7 +499,7 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     )
     log = EventLog(args.events) if args.events else EventLog()
     resolver = OnlineResolver(service, policy, event_log=log)
-    with recording, service:
+    with recording, service, log:
         summary = resolver.resolve_corpus(corpus, max_waves=args.max_waves)
     state = resolver.state_dict()
     print(

@@ -194,8 +194,9 @@ async def handle_revert(state: AppState, request: HttpRequest) -> tuple[int, dic
     event_id = body.get("event_id")
     if not isinstance(event_id, str) or not event_id:
         raise HttpError(400, "'event_id' must be a non-empty string")
-    event = await _in_executor(resolver.revert, event_id)
-    clusters = await _in_executor(resolver.state_dict)
+    # One executor call: the state is read under the revert's own lock hold,
+    # so a /resolve landing just after the revert cannot show in the response.
+    event, clusters = await _in_executor(resolver.revert_with_state, event_id)
     return 200, schemas.envelope(event=event.to_dict(), clusters=clusters)
 
 

@@ -144,12 +144,14 @@ class RiskHTTPServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, then drain the coalescer's pending requests."""
+        """Stop accepting, drain the coalescer, then close the resolver's log file."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
         await self.coalescer.stop()
+        if self.state.resolver is not None:
+            self.state.resolver.log.close()
 
     # ------------------------------------------------------------ connections
     async def _on_connection(
@@ -249,7 +251,8 @@ def build_server(
     With an ``online_policy`` (a :class:`~repro.online.ResolutionPolicy`),
     the server also carries an :class:`~repro.online.OnlineResolver` behind
     the ``/resolve`` endpoints, journalling to ``events_path`` when given (a
-    resolver built on an existing log resumes its cluster state).  The
+    resolver built on an existing log resumes its cluster state, and
+    :meth:`RiskHTTPServer.stop` closes the file).  The
     resolver is pinned to the model version active at build time — it keeps
     scoring with that version across hot-swaps, so one audit log is always
     the work of exactly one model.

@@ -98,3 +98,16 @@ def test_to_dict_excludes_singletons():
     exported = store.to_dict()
     assert exported["clusters"] == {"s:a": keys("a", "b")}
     assert store.clusters() == {"s:a": keys("a", "b")}
+
+
+def test_member_lists_follow_merges_of_whole_clusters():
+    store = store_with("a", "b", "c", "d", "e")
+    store.merge("s:d", "s:c")
+    store.merge("s:b", "s:e")
+    store.merge("s:e", "s:d")
+    assert store.members("s:c") == keys("b", "c", "d", "e")
+    assert store.members("s:a") == keys("a")
+    assert store.clusters() == {"s:b": keys("b", "c", "d", "e")}
+    # members() hands out a copy: changing it leaves the store alone.
+    store.members("s:c").append("s:z")
+    assert store.members("s:b") == keys("b", "c", "d", "e")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +116,76 @@ def test_file_mirroring_and_reload(tmp_path):
     # Appends continue the sequence across the reload.
     event = append_pair_event(reloaded, "escalate", "a", "d")
     assert event.sequence == 3
+
+
+@pytest.fixture
+def append_opens(monkeypatch) -> list[str]:
+    """The mode of every ``Path.open`` for appending while the test runs."""
+    opened: list[str] = []
+    real_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        if mode.startswith("a"):
+            opened.append(mode)
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    return opened
+
+
+def test_one_held_handle_serves_every_append(tmp_path, monkeypatch, append_opens):
+    made: list[Path] = []
+    real_mkdir = Path.mkdir
+
+    def counting_mkdir(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+    path = tmp_path / "nested" / "events.jsonl"
+    log = EventLog(path)
+    written = [append_pair_event(log, "escalate", "a", f"b{index}") for index in range(1000)]
+    assert append_opens == ["a"]
+    assert made == [path.parent]
+
+    # Each append is flushed before it returns: a second reader sees every
+    # line while the writer still holds its handle.
+    reader = EventLog(path)
+    assert [event.to_dict() for event in reader] == [event.to_dict() for event in written]
+
+    log.close()
+    log.close()  # closing twice is harmless
+    reopened = EventLog(path)
+    assert append_pair_event(reopened, "merge", "a", "z").sequence == 1001
+    reopened.close()
+    assert len(EventLog(path)) == 1001
+
+
+def test_context_manager_closes_and_a_later_append_reopens(tmp_path, append_opens):
+    path = tmp_path / "events.jsonl"
+    with EventLog(path) as log:
+        append_pair_event(log, "merge", "a", "b")
+    assert append_opens == ["a"]
+    # The in-memory events outlive the handle; an append opens it again.
+    assert len(log) == 1
+    append_pair_event(log, "split", "a", "c")
+    log.close()
+    assert append_opens == ["a", "a"]
+    assert [event.sequence for event in EventLog(path)] == [1, 2]
+
+
+def test_reverted_ids_are_kept_on_append_and_load(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with EventLog(path) as log:
+        merge = append_pair_event(log, "merge", "a", "b")
+        split = append_pair_event(log, "split", "a", "c")
+        assert log.reverted_event_ids() == set()
+        append_pair_event(log, "revert", "a", "b", target_event_id=merge.event_id)
+        assert log.reverted_event_ids() == {merge.event_id}
+        # The returned set is a copy.
+        log.reverted_event_ids().add(split.event_id)
+        assert log.reverted_event_ids() == {merge.event_id}
+    assert EventLog(path).reverted_event_ids() == {merge.event_id}
 
 
 def test_corrupt_log_files_rejected(tmp_path):

@@ -231,6 +231,26 @@ def test_only_state_decisions_can_be_reverted(service):
         resolver.revert("evt-999999")
 
 
+def test_a_second_revert_raises_also_after_a_reload(resolved, service, tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(resolved.path.read_bytes())
+    with EventLog(path) as log:
+        resolver = OnlineResolver(service, POLICY, event_log=log)
+        reverted = log.reverted_event_ids()
+        target = next(
+            event for event in resolver.events()
+            if event.decision in ("merge", "split") and event.event_id not in reverted
+        )
+        resolver.revert(target.event_id)
+        with pytest.raises(DataError, match="already reverted"):
+            resolver.revert(target.event_id)
+    with EventLog(path) as log:
+        restarted = OnlineResolver(service, POLICY, event_log=log)
+        with pytest.raises(DataError, match="already reverted"):
+            restarted.revert(target.event_id)
+        assert len(log) == len(resolver.log)
+
+
 def test_duplicate_record_key_rejected(service, ds_workload):
     resolver = OnlineResolver(service, POLICY)
     record = next(iter(ds_workload.left_table))

@@ -135,12 +135,10 @@ class TestPortfolioAggregation:
         assert min(means[:n_rules]) - 1e-9 <= distribution.means[0] <= max(means[:n_rules]) + 1e-9
 
     def test_feature_contributions_sum_to_one(self):
-        contributions = feature_contributions(
-            membership_row=np.array([1.0, 0.0, 1.0]),
+        [contributions] = feature_contributions(
+            membership=np.array([[1.0, 0.0, 1.0]]),
             rule_weights=np.array([1.0, 5.0, 3.0]),
-            rule_means=np.array([0.2, 0.5, 0.9]),
-            output_weight=2.0,
-            output_mean=0.7,
+            output_weights=np.array([2.0]),
         )
         assert sum(share for _, share in contributions) == pytest.approx(1.0)
         assert contributions[0][1] >= contributions[-1][1]

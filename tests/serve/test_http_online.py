@@ -18,12 +18,13 @@ import pytest
 
 from repro.classifiers.mlp import MLPClassifier
 from repro.data import split_workload
+from repro.data.records import Record
 from repro.online import EventLog, ResolutionPolicy, replay_events
 from repro.pipeline import LearnRiskPipeline
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
 from repro.serve import save_pipeline
-from repro.serve.http import ServerConfig, ServerHandle, build_server
+from repro.serve.http import ServerConfig, ServerHandle, build_server, handlers
 
 
 def _fit_pipeline(workload, seed=0):
@@ -173,6 +174,43 @@ class TestResolveEndpoints:
             online_served.address, "POST", "/events/revert", {"event_id": 7}
         )
         assert status == 400
+
+    def test_revert_response_is_the_state_the_revert_left(self, online_served, monkeypatch):
+        # A /resolve that lands right after the revert must not show in the
+        # revert's response.  The resolve is injected after the handler's
+        # first executor call returns, which is where a concurrent request
+        # could take the resolver lock.
+        resolver = online_served.server.state.resolver
+        reverted = {
+            event.target_event_id for event in resolver.events()
+            if event.decision == "revert"
+        }
+        target = [
+            event for event in resolver.events()
+            if event.decision in ("merge", "split") and event.event_id not in reverted
+        ][-1]
+        payload = record_payload(60, "streaming joins over data streams")
+        record = Record(record_id=payload["id"], values=payload["values"], source="s")
+        injected: list = []
+        run_in_executor = handlers._in_executor
+
+        async def racing(function, /, *args, **kwargs):
+            result = await run_in_executor(function, *args, **kwargs)
+            if not injected:
+                injected.append(await run_in_executor(resolver.add_record, record))
+            return result
+
+        monkeypatch.setattr(handlers, "_in_executor", racing)
+        status, body = http_json(
+            online_served.address, "POST", "/events/revert",
+            {"event_id": target.event_id},
+        )
+        assert status == 200
+        assert injected and injected[0], "the injected record must decide something"
+        events = EventLog(online_served.events_path).events()
+        upto_revert = replay_events(events[:body["event"]["sequence"]]).to_dict()
+        assert body["clusters"] == json.loads(json.dumps(upto_revert))
+        assert replay_events(events).to_dict() != upto_revert
 
     def test_bad_resolve_payloads(self, online_served):
         for payload in (
