@@ -26,7 +26,6 @@ from .onesided_tree import (
     OneSidedTreeConfig,
     best_one_sided_split,
     gini_value,
-    one_sided_gini,
 )
 from .portfolio import PortfolioDistribution, aggregate_portfolio, feature_contributions
 from .rules import (
@@ -73,7 +72,6 @@ __all__ = [
     "feature_contributions",
     "gini_value",
     "normal_quantile",
-    "one_sided_gini",
     "output_bin_matrix",
     "rank_by_risk",
     "register_risk_metric",

@@ -45,7 +45,9 @@ class GeneratedRiskFeatures:
         The fitted :class:`PairVectorizer`; downstream code uses it to map new
         pairs into the same metric space before computing rule coverage.
     generation_seconds:
-        Wall-clock time spent growing the rule forest (Figure 13a).
+        Wall-clock time of rule generation (Figure 13a): vectorising the rule
+        workload, growing the forest, deduplication, redundancy removal and
+        estimating the expectations; fitting a fresh vectoriser is excluded.
     """
 
     rules: list[RiskRule]

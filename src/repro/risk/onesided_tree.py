@@ -22,6 +22,8 @@ in the number of metrics per level.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,26 +54,16 @@ def gini_value(labels: np.ndarray, weights: np.ndarray | None = None) -> float:
         if total <= 0.0:
             return 0.0
         positive = float(weights[labels == 1].sum() / total)
-    return 1.0 - positive ** 2 - (1.0 - positive) ** 2
+    return _gini_of_share(positive)
 
 
-def one_sided_gini(
-    left_labels: np.ndarray,
-    right_labels: np.ndarray,
-    lam: float,
-    left_weights: np.ndarray | None = None,
-    right_weights: np.ndarray | None = None,
-) -> tuple[float, bool]:
-    """One-sided Gini index of a partition (Eq. 7).
+def _gini_of_share(positive: float) -> float:
+    """Eq. 6 from the positive class's (weight) share, in Python floats.
 
-    Returns the index value and whether the *left* subset is the purer
-    (smaller-term) side.
+    ``positive`` must be a Python ``float``: numpy's ``** 2`` multiplies where
+    Python's calls ``pow``, and the two round apart on some shares.
     """
-    left_term = lam / max(1, len(left_labels)) + (1.0 - lam) * gini_value(left_labels, left_weights)
-    right_term = lam / max(1, len(right_labels)) + (1.0 - lam) * gini_value(right_labels, right_weights)
-    if left_term <= right_term:
-        return left_term, True
-    return right_term, False
+    return 1.0 - positive ** 2 - (1.0 - positive) ** 2
 
 
 def best_one_sided_split(
@@ -83,7 +75,14 @@ def best_one_sided_split(
     weights: np.ndarray | None = None,
     max_thresholds: int = 64,
 ) -> OneSidedSplit | None:
-    """Find the threshold on one metric minimising the one-sided Gini index."""
+    """Find the threshold on one metric minimising the one-sided Gini index.
+
+    One stable sort of the column serves every candidate: a binary search
+    gives its left count and prefix sums give both sides' class totals, so a
+    node costs O(n log n) per metric, not a pass over the column per
+    threshold.  Both sides' Eq. 7 terms are then evaluated in Python floats
+    in the order of :func:`gini_value`, and the first minimum wins.
+    """
     column = metric_matrix[:, metric_index]
     unique_values = np.unique(column)
     if len(unique_values) < 2:
@@ -95,21 +94,60 @@ def best_one_sided_split(
         positions = np.linspace(0, len(midpoints) - 1, max_thresholds).astype(int)
         midpoints = midpoints[positions]
 
-    best: OneSidedSplit | None = None
-    for threshold in midpoints:
-        mask = column <= threshold
-        left_count = int(mask.sum())
-        right_count = len(labels) - left_count
-        if left_count < min_support or right_count < min_support:
-            continue
-        left_weights = weights[mask] if weights is not None else None
-        right_weights = weights[~mask] if weights is not None else None
-        score, pure_is_left = one_sided_gini(
-            labels[mask], labels[~mask], lam, left_weights, right_weights
-        )
-        if best is None or score < best.score:
-            best = OneSidedSplit(metric_index, float(threshold), float(score), pure_is_left)
-    return best
+    # ``column <= threshold`` counted on the sorted column: a midpoint that
+    # rounds onto the upper value counts it, and a NaN midpoint counts nothing.
+    order = np.argsort(column, kind="stable")
+    left_counts = np.searchsorted(column[order], midpoints, side="right")
+    left_counts[np.isnan(midpoints)] = 0
+    n_total = len(column)
+    valid = (left_counts >= min_support) & (n_total - left_counts >= min_support)
+    if not valid.any():
+        return None
+    counts = left_counts[valid]
+
+    # Each class's mass left of each candidate, as prefix sums over the
+    # sorted column.  With integer weights every prefix sum is an exact
+    # integer, so it equals the masked sum it replaces whatever the summation
+    # order; and a side with no mass of one class sums exactly to the other.
+    sorted_labels = labels[order]
+    if weights is None:
+        positive_mass = sorted_labels
+        negative_mass = 1 - sorted_labels
+    else:
+        sorted_weights = weights[order]
+        positive_mass = np.where(sorted_labels == 1, sorted_weights, 0.0)
+        negative_mass = np.where(sorted_labels == 1, 0.0, sorted_weights)
+    positives = np.concatenate(([0], np.cumsum(positive_mass)))
+    negatives = np.concatenate(([0], np.cumsum(negative_mass)))
+    left_positive, left_negative = positives[counts], negatives[counts]
+    right_positive = positives[-1] - left_positive
+    right_negative = negatives[-1] - left_negative
+    left_terms = _side_terms(lam, counts, left_positive, left_positive + left_negative)
+    right_terms = _side_terms(
+        lam, n_total - counts, right_positive, right_positive + right_negative
+    )
+    # Eq. 7: the purer side's term scores the partition; the first minimum wins.
+    scores = [left if left <= right else right for left, right in zip(left_terms, right_terms)]
+    best = min(range(len(scores)), key=scores.__getitem__)
+    return OneSidedSplit(
+        metric_index, float(midpoints[valid][best]), scores[best],
+        left_terms[best] <= right_terms[best],
+    )
+
+
+def _side_terms(
+    lam: float, sizes: np.ndarray, positive: np.ndarray, mass: np.ndarray
+) -> list[float]:
+    """Each subset's Eq. 7 term ``λ/|D| + (1 − λ)·G(D)``, in Python floats.
+
+    ``positive`` and ``mass`` are the subsets' positive-class and total
+    (weight) masses; an empty or massless subset has Gini 0, as in
+    :func:`gini_value`.
+    """
+    return [
+        lam / size + (1.0 - lam) * (_gini_of_share(p / m) if m > 0 else 0.0)
+        for size, p, m in zip(np.maximum(sizes, 1).tolist(), positive.tolist(), mass.tolist())
+    ]
 
 
 @dataclass
@@ -154,6 +192,12 @@ class OneSidedTreeConfig:
             raise ConfigurationError("impurity_threshold must be in (0, 0.5)")
         if self.min_support < 1:
             raise ConfigurationError("min_support must be >= 1")
+        if not (math.isfinite(self.match_class_weight) and self.match_class_weight > 0.0):
+            raise ConfigurationError("match_class_weight must be finite and > 0")
+        if self.branch_depth < 0:
+            raise ConfigurationError("branch_depth must be >= 0")
+        if not (isinstance(self.max_thresholds, numbers.Integral) and self.max_thresholds >= 1):
+            raise ConfigurationError("max_thresholds must be an integer >= 1")
 
 
 class OneSidedTreeBuilder:
@@ -230,36 +274,19 @@ class OneSidedTreeBuilder:
     ) -> None:
         if depth >= self.config.max_depth or len(labels) < 2 * self.config.min_support:
             return
-        n_metrics = metric_matrix.shape[1]
-        if exhaustive and depth < self.config.branch_depth:
-            candidate_metrics = range(n_metrics)
-        else:
-            best_split = self._best_split_over_metrics(metric_matrix, labels, weights)
-            if best_split is None:
-                return
-            candidate_metrics = [best_split.metric_index]
-
-        for metric_index in candidate_metrics:
-            split = best_one_sided_split(
+        splits = [
+            best_one_sided_split(
                 metric_matrix, labels, metric_index, self.config.lam,
                 self.config.min_support, weights, self.config.max_thresholds,
             )
-            if split is None:
-                continue
+            for metric_index in range(metric_matrix.shape[1])
+        ]
+        splits = [split for split in splits if split is not None]
+        if splits and not (exhaustive and depth < self.config.branch_depth):
+            # Greedy: follow only the best split over all metrics (the first on ties).
+            splits = [min(splits, key=lambda split: split.score)]
+        for split in splits:
             self._descend(metric_matrix, labels, weights, conditions, depth, rules, split)
-
-    def _best_split_over_metrics(
-        self, metric_matrix: np.ndarray, labels: np.ndarray, weights: np.ndarray
-    ) -> OneSidedSplit | None:
-        best: OneSidedSplit | None = None
-        for metric_index in range(metric_matrix.shape[1]):
-            split = best_one_sided_split(
-                metric_matrix, labels, metric_index, self.config.lam,
-                self.config.min_support, weights, self.config.max_thresholds,
-            )
-            if split is not None and (best is None or split.score < best.score):
-                best = split
-        return best
 
     def _descend(
         self,

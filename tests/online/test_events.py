@@ -102,19 +102,19 @@ def test_event_lookup_is_by_sequence():
 
 def test_file_mirroring_and_reload(tmp_path):
     path = tmp_path / "events.jsonl"
-    log = EventLog(path)
-    append_pair_event(log, "merge", "a", "b")
-    append_pair_event(log, "split", "a", "c")
+    with EventLog(path) as log:
+        append_pair_event(log, "merge", "a", "b")
+        append_pair_event(log, "split", "a", "c")
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["decision"] == "merge"
 
-    reloaded = EventLog(path)
-    assert [event.to_dict() for event in reloaded] == [
-        event.to_dict() for event in log
-    ]
-    # Appends continue the sequence across the reload.
-    event = append_pair_event(reloaded, "escalate", "a", "d")
+    with EventLog(path) as reloaded:
+        assert [event.to_dict() for event in reloaded] == [
+            event.to_dict() for event in log
+        ]
+        # Appends continue the sequence across the reload.
+        event = append_pair_event(reloaded, "escalate", "a", "d")
     assert event.sequence == 3
 
 
@@ -207,18 +207,19 @@ def test_torn_final_line_is_truncated_on_reload(tmp_path):
     # A crash mid-append leaves a final line with no newline; reopening the
     # log drops exactly those bytes so the resolver can restart.
     path = tmp_path / "events.jsonl"
-    log = EventLog(path)
-    for right in ("b", "c", "d"):
-        append_pair_event(log, "merge", "a", right)
+    with EventLog(path) as log:
+        for right in ("b", "c", "d"):
+            append_pair_event(log, "merge", "a", right)
     complete = path.read_bytes()
     fourth = ResolutionEvent.from_dict({**log.event("evt-000003").to_dict(), "sequence": 4})
     path.write_bytes(complete + fourth.to_json_line().encode()[:40])
 
     with pytest.warns(RuntimeWarning, match="dropped 40 bytes"):
         reloaded = EventLog(path)
-    assert [event.to_dict() for event in reloaded] == [event.to_dict() for event in log]
-    assert path.read_bytes() == complete
-    assert append_pair_event(reloaded, "split", "a", "e").event_id == "evt-000004"
+    with reloaded:
+        assert [event.to_dict() for event in reloaded] == [event.to_dict() for event in log]
+        assert path.read_bytes() == complete
+        assert append_pair_event(reloaded, "split", "a", "e").event_id == "evt-000004"
     assert len(EventLog(path)) == 4
 
 

@@ -73,15 +73,17 @@ POLICY = ResolutionPolicy(
 def resolved(service, ds_workload, tmp_path_factory):
     """One resolver fed a fixed stream, journalling to a JSONL file."""
     path = tmp_path_factory.mktemp("online") / "events.jsonl"
-    resolver = OnlineResolver(service, POLICY, event_log=EventLog(path))
+    log = EventLog(path)
+    resolver = OnlineResolver(service, POLICY, event_log=log)
     records = stream_records(ds_workload, per_side=20)
     events = []
     for record in records:
         events.extend(resolver.add_record(record))
     assert events, "the fixture stream must produce candidate decisions"
-    return SimpleNamespace(
+    yield SimpleNamespace(
         resolver=resolver, records=records, events=events, path=path
     )
+    log.close()
 
 
 # ---------------------------------------------------------------- policy layer

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compose import build_pipeline
 from repro.data.records import MATCH, UNMATCH
 from repro.exceptions import ConfigurationError
 from repro.risk.onesided_tree import (
@@ -12,8 +13,8 @@ from repro.risk.onesided_tree import (
     OneSidedTreeConfig,
     best_one_sided_split,
     gini_value,
-    one_sided_gini,
 )
+from test_split_parity import one_sided_gini
 
 
 class TestOneSidedGini:
@@ -78,6 +79,43 @@ class TestOneSidedTreeConfig:
             OneSidedTreeConfig(impurity_threshold=0.6)
         with pytest.raises(ConfigurationError):
             OneSidedTreeConfig(min_support=0)
+        # Spec JSON reaches these fields unchecked, so each is rejected here.
+        for field, value in [
+            ("max_thresholds", 0),
+            ("max_thresholds", -5),
+            ("max_thresholds", 24.0),
+            ("branch_depth", -1),
+            ("match_class_weight", 0.0),
+            ("match_class_weight", -3.0),
+            ("match_class_weight", float("nan")),
+            ("match_class_weight", float("inf")),
+        ]:
+            with pytest.raises(ConfigurationError, match=field):
+                OneSidedTreeConfig(**{field: value})
+
+    def test_boundary_values_grow_rules(self):
+        # One threshold per metric, no exhaustive level and a tiny class weight.
+        config = OneSidedTreeConfig(
+            max_depth=2, min_support=2, max_thresholds=1, branch_depth=0, match_class_weight=1e-3
+        )
+        column = np.array([[0.0]] * 6 + [[1.0]] * 6)
+        labels = np.array([0] * 6 + [1] * 6)
+        rules = OneSidedTreeBuilder(config, ["m"]).build(column, labels)
+        assert {rule.label for rule in rules} == {MATCH, UNMATCH}
+
+    @pytest.mark.parametrize("tree", [
+        {"max_thresholds": 0},
+        {"max_thresholds": -5},
+        {"max_thresholds": 24.0},
+        {"branch_depth": -1},
+        {"match_class_weight": 0},
+        {"match_class_weight": -3},
+        {"match_class_weight": float("nan")},
+    ])
+    def test_spec_values_rejected_when_the_pipeline_is_built(self, tree):
+        spec = {"risk_features": {"kind": "onesided_tree", "params": {"tree": tree}}}
+        with pytest.raises(ConfigurationError, match=next(iter(tree))):
+            build_pipeline(spec)
 
 
 class TestOneSidedTreeBuilder:
