@@ -5,35 +5,40 @@ vector* per candidate pair: one value per (attribute, metric) combination.
 Which metrics apply to an attribute depends on its
 :class:`~repro.data.schema.AttributeType`, following the paper's hierarchy:
 
-* every string attribute gets a core set of similarity metrics;
-* entity names additionally get the non-substring / non-prefix / non-suffix
-  difference metrics and their abbreviation variants;
-* entity sets get entity-level Jaccard plus diff-cardinality / distinct-entity;
-* text descriptions get TF-IDF cosine plus diff-key-token;
-* numeric attributes get relative similarity, equality and the inequality /
+* entity names, entity sets and text descriptions share the core similarity
+  metrics: token Jaccard, edit, Jaro-Winkler and token overlap;
+* entity names add LCS, the non-substring / non-prefix difference metrics and
+  their abbreviation variants;
+* entity sets add entity-level Jaccard and Monge-Elkan, plus diff-cardinality
+  and distinct-entity;
+* text descriptions add TF-IDF cosine and LCS, plus diff-key-token;
+* categorical attributes get exact match and edit similarity;
+* numeric attributes get relative similarity, plus the inequality and
   relative-difference metrics.
 
-Each metric is wrapped in a :class:`MetricSpec` carrying a ``kind`` tag
+Each metric is a :class:`MetricSpec` carrying a ``kind`` tag
 (``"similarity"`` or ``"difference"``) so that downstream consumers (e.g. the
 experiment setup that reports "19 basic metrics of which 8 are diff metrics")
-can count and filter them.
+can count and filter them.  A registry spec is scored by its batched kernel
+from :data:`~repro.text.batch.BATCH_KERNELS`, which is the metric's one
+definition; a hand-built spec may instead carry a per-pair ``function``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
 from ..data.schema import Attribute, AttributeType, Schema
-from ..text import difference, similarity
+from ..exceptions import ConfigurationError
 from ..text.batch.kernels import BATCH_KERNELS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..text.batch.interner import AttributeView
 
-#: A metric takes the two attribute values and an optional context dict
+#: A per-pair metric takes the two attribute values and a context dict
 #: (currently only ``idf``) and returns a float.
 MetricFunction = Callable[[object, object, dict], float]
 
@@ -46,8 +51,7 @@ class BatchMetricFunction(Protocol):
 
     Instead of two raw values it receives the attribute's corpus-index view
     (interned tokens, char codes, cached representations) plus the left/right
-    entry-id arrays of the batch, and returns the ``(batch,)`` float column —
-    bit-identical to calling the scalar :data:`MetricFunction` per pair.
+    entry-id arrays of the batch, and returns the ``(batch,)`` float column.
     """
 
     def __call__(
@@ -72,123 +76,84 @@ class MetricSpec:
     kind:
         Either ``"similarity"`` or ``"difference"``.
     function:
-        The callable computing the metric value.
+        A per-pair :data:`MetricFunction`, for hand-built (custom) metrics;
+        the vectoriser calls it once per pair.
     batch_function:
-        Optional batched implementation (see :class:`BatchMetricFunction`).
-        Registry-built specs carry the matching kernel from
-        :data:`repro.text.batch.BATCH_KERNELS`; specs constructed by hand
-        default to ``None`` and are scored through the scalar fallback.
+        The batched kernel (see :class:`BatchMetricFunction`).  Registry
+        specs carry the kernel of their metric from
+        :data:`repro.text.batch.BATCH_KERNELS`; when present the vectoriser
+        scores the column through it.
+
+    A spec needs at least one of the two callables.
     """
 
     attribute: str
     metric: str
     kind: str
-    function: MetricFunction
+    function: MetricFunction | None = None
     batch_function: BatchMetricFunction | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.function is None and self.batch_function is None:
+            raise ConfigurationError(
+                f"metric {self.attribute}.{self.metric} has neither a function nor a batch_function"
+            )
 
     @property
     def name(self) -> str:
         """Qualified metric name, e.g. ``"title.jaccard"``."""
         return f"{self.attribute}.{self.metric}"
 
-    def __call__(self, left_value: object, right_value: object, context: dict | None = None) -> float:
-        return float(self.function(left_value, right_value, context or {}))
 
-
-def _wrap_simple(function: Callable[[object, object], float]) -> MetricFunction:
-    """Adapt a two-argument metric to the three-argument metric interface."""
-
-    def wrapped(left_value: object, right_value: object, context: dict) -> float:
-        return function(left_value, right_value)
-
-    return wrapped
-
-
-def _wrap_idf(function: Callable[..., float]) -> MetricFunction:
-    """Adapt a metric that accepts an ``idf`` keyword to the metric interface."""
-
-    def wrapped(left_value: object, right_value: object, context: dict) -> float:
-        return function(left_value, right_value, idf=context.get("idf"))
-
-    return wrapped
-
-
-def _wrap_separator(function: Callable[..., float], separator: str) -> MetricFunction:
-    """Bind an entity-set metric to the attribute's separator."""
-
-    def wrapped(left_value: object, right_value: object, context: dict) -> float:
-        return function(left_value, right_value, separator=separator)
-
-    return wrapped
-
-
-_CORE_STRING_SIMILARITIES: tuple[tuple[str, Callable[[object, object], float]], ...] = (
-    ("jaccard", similarity.jaccard_similarity),
-    ("edit", similarity.edit_similarity),
-    ("jaro_winkler", similarity.jaro_winkler_similarity),
-    ("overlap", similarity.overlap_coefficient),
+_CORE_STRING_METRICS: tuple[tuple[str, str], ...] = (
+    ("jaccard", SIMILARITY),
+    ("edit", SIMILARITY),
+    ("jaro_winkler", SIMILARITY),
+    ("overlap", SIMILARITY),
 )
+
+#: ``(metric, kind)`` per attribute type, in column order.
+_METRICS_BY_TYPE: dict[AttributeType, tuple[tuple[str, str], ...]] = {
+    # Exact numeric (in)equality is treated as *difference* knowledge: a
+    # text-embedding matcher sees "1998" and "1999" as near-identical
+    # tokens, so exact-equality signals belong to the rule side only.
+    AttributeType.NUMERIC: (
+        ("numeric_similarity", SIMILARITY),
+        ("numeric_inequality", DIFFERENCE),
+        ("numeric_difference", DIFFERENCE),
+    ),
+    AttributeType.CATEGORICAL: (("exact", SIMILARITY), ("edit", SIMILARITY)),
+    AttributeType.ENTITY_NAME: _CORE_STRING_METRICS + (
+        ("lcs", SIMILARITY),
+        ("non_substring", DIFFERENCE),
+        ("non_prefix", DIFFERENCE),
+        ("abbr_non_substring", DIFFERENCE),
+        ("abbr_non_prefix", DIFFERENCE),
+    ),
+    AttributeType.ENTITY_SET: _CORE_STRING_METRICS + (
+        ("entity_jaccard", SIMILARITY),
+        ("monge_elkan", SIMILARITY),
+        ("diff_cardinality", DIFFERENCE),
+        ("distinct_entity", DIFFERENCE),
+    ),
+    AttributeType.TEXT: _CORE_STRING_METRICS + (
+        ("cosine_tfidf", SIMILARITY),
+        ("lcs", SIMILARITY),
+        ("diff_key_token", DIFFERENCE),
+    ),
+}
 
 
 def metrics_for_attribute(attribute: Attribute) -> list[MetricSpec]:
     """Return the basic metrics applicable to ``attribute``.
 
-    Every returned spec whose short name has a kernel in
-    :data:`~repro.text.batch.BATCH_KERNELS` carries it as
-    ``batch_function`` — with full registry coverage today, so the default
-    vectoriser scores every column batched.
+    Every spec carries its metric's kernel as ``batch_function``, so the
+    default vectoriser scores every column batched.
     """
-    specs: list[MetricSpec] = []
-
-    def add(spec: MetricSpec) -> None:
-        specs.append(replace(spec, batch_function=BATCH_KERNELS.get(spec.metric)))
-
-    if attribute.attr_type is AttributeType.NUMERIC:
-        add(MetricSpec(attribute.name, "numeric_similarity", SIMILARITY,
-                       _wrap_simple(similarity.numeric_similarity)))
-        # Exact numeric (in)equality is treated as *difference* knowledge: a
-        # text-embedding matcher sees "1998" and "1999" as near-identical
-        # tokens, so exact-equality signals belong to the rule side only.
-        add(MetricSpec(attribute.name, "numeric_inequality", DIFFERENCE,
-                       _wrap_simple(difference.numeric_inequality)))
-        add(MetricSpec(attribute.name, "numeric_difference", DIFFERENCE,
-                       _wrap_simple(difference.numeric_difference)))
-        return specs
-
-    if attribute.attr_type is AttributeType.CATEGORICAL:
-        add(MetricSpec(attribute.name, "exact", SIMILARITY, _wrap_simple(similarity.exact_match)))
-        add(MetricSpec(attribute.name, "edit", SIMILARITY, _wrap_simple(similarity.edit_similarity)))
-        return specs
-
-    for metric_name, function in _CORE_STRING_SIMILARITIES:
-        add(MetricSpec(attribute.name, metric_name, SIMILARITY, _wrap_simple(function)))
-
-    if attribute.attr_type is AttributeType.ENTITY_NAME:
-        add(MetricSpec(attribute.name, "lcs", SIMILARITY, _wrap_simple(similarity.lcs_similarity)))
-        add(MetricSpec(attribute.name, "non_substring", DIFFERENCE,
-                       _wrap_simple(difference.non_substring)))
-        add(MetricSpec(attribute.name, "non_prefix", DIFFERENCE,
-                       _wrap_simple(difference.non_prefix)))
-        add(MetricSpec(attribute.name, "abbr_non_substring", DIFFERENCE,
-                       _wrap_simple(difference.abbr_non_substring)))
-        add(MetricSpec(attribute.name, "abbr_non_prefix", DIFFERENCE,
-                       _wrap_simple(difference.abbr_non_prefix)))
-    elif attribute.attr_type is AttributeType.ENTITY_SET:
-        add(MetricSpec(attribute.name, "entity_jaccard", SIMILARITY,
-                       _wrap_separator(similarity.entity_jaccard_similarity, attribute.separator)))
-        add(MetricSpec(attribute.name, "monge_elkan", SIMILARITY,
-                       _wrap_simple(similarity.monge_elkan_similarity)))
-        add(MetricSpec(attribute.name, "diff_cardinality", DIFFERENCE,
-                       _wrap_separator(difference.diff_cardinality, attribute.separator)))
-        add(MetricSpec(attribute.name, "distinct_entity", DIFFERENCE,
-                       _wrap_separator(difference.distinct_entity_fraction, attribute.separator)))
-    elif attribute.attr_type is AttributeType.TEXT:
-        add(MetricSpec(attribute.name, "cosine_tfidf", SIMILARITY,
-                       _wrap_idf(similarity.cosine_tfidf_similarity)))
-        add(MetricSpec(attribute.name, "lcs", SIMILARITY, _wrap_simple(similarity.lcs_similarity)))
-        add(MetricSpec(attribute.name, "diff_key_token", DIFFERENCE,
-                       _wrap_idf(difference.diff_key_token_fraction)))
-    return specs
+    return [
+        MetricSpec(attribute.name, metric, kind, batch_function=BATCH_KERNELS[metric])
+        for metric, kind in _METRICS_BY_TYPE[attribute.attr_type]
+    ]
 
 
 def metrics_for_schema(schema: Schema) -> list[MetricSpec]:

@@ -18,12 +18,12 @@ column: metrics whose spec carries a ``batch_function`` (every registry
 metric) run as one numpy kernel over the whole batch of interned pairs,
 reading cached tokenisations from a :class:`~repro.text.batch.CorpusIndex`
 that normalises and tokenises each distinct value exactly once across the
-vectoriser's lifetime; metrics without one (custom metrics) fall back to the
-scalar per-pair loop.  Both paths are bit-identical — batching is purely a
-throughput decision, toggled with ``batch_enabled``.  The two sub-paths are
-timed under ``vectorize.batch`` / ``vectorize.scalar`` child spans and
-counted per column, so a metrics snapshot shows exactly how much of
-vectorisation ran batched.
+vectoriser's lifetime; hand-built specs without one (custom metrics) run their
+``function`` in a per-pair loop.  The kernels are the metrics' only shipped
+definition; ``tests/metric_oracle.py`` holds the scalar reference they match
+bit for bit.  The two sub-paths are timed under ``vectorize.batch`` /
+``vectorize.scalar`` child spans and counted per column, so a metrics
+snapshot shows exactly how much of vectorisation ran batched.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class PairVectorizer:
         The shared schema of the two tables.
     metrics:
         Explicit metric specs; by default all metrics applicable to the schema.
-    batch_enabled:
-        Dispatch columns to batched kernels when the spec carries one
-        (default).  ``False`` forces the scalar per-pair path everywhere —
-        same numbers bit for bit, only slower; the toggle exists for parity
-        testing and as an escape hatch.
     corpus_cache_entries:
         Soft cap on distinct interned values held by the corpus index; the
         index resets (between transforms, never mid-batch) once exceeded, so
@@ -68,12 +63,10 @@ class PairVectorizer:
         schema: Schema,
         metrics: Sequence[MetricSpec] | None = None,
         *,
-        batch_enabled: bool = True,
         corpus_cache_entries: int = 1_000_000,
     ) -> None:
         self.schema = schema
         self.metrics: list[MetricSpec] = list(metrics) if metrics is not None else metrics_for_schema(schema)
-        self.batch_enabled = batch_enabled
         self.corpus_cache_entries = corpus_cache_entries
         #: The lazily created interning cache behind the batched kernels.
         #: Deliberately *not* part of the persisted/pickled state: workers and
@@ -122,25 +115,11 @@ class PairVectorizer:
         idf_tables = self._idf_by_attribute or {}
         return {"idf": idf_tables.get(spec.attribute)}
 
-    def _ensure_corpus_index(self) -> CorpusIndex | None:
-        """The live corpus index, created lazily (``None`` when batching is off)."""
-        if not self.batch_enabled:
-            return None
+    def _ensure_corpus_index(self) -> CorpusIndex:
+        """The live corpus index, created lazily."""
         if self.corpus_index is None:
             self.corpus_index = CorpusIndex(max_entries=self.corpus_cache_entries)
         return self.corpus_index
-
-    def batch_coverage(self) -> dict[str, list[str]]:
-        """Which metric columns have a batched kernel and which fall back.
-
-        ``{"batched": [...qualified names...], "scalar": [...]}`` — the CI
-        guard asserts the core token-set metrics never silently land in
-        ``scalar``.
-        """
-        return {
-            "batched": [spec.name for spec in self.metrics if spec.batch_function is not None],
-            "scalar": [spec.name for spec in self.metrics if spec.batch_function is None],
-        }
 
     def transform_pair(self, pair: RecordPair) -> np.ndarray:
         """Return the metric vector of a single pair.
@@ -158,7 +137,8 @@ class PairVectorizer:
         attribute-value extraction are hoisted per attribute (shared by all of
         the attribute's metrics), and each column dispatches to the spec's
         batched kernel when it has one — reading interned representations
-        from the corpus index — or to the scalar per-pair loop otherwise.
+        from the corpus index — or to the spec's per-pair ``function``
+        otherwise.
         """
         if self._idf_by_attribute is None:
             raise NotFittedError("PairVectorizer.transform called before fit")
@@ -172,10 +152,9 @@ class PairVectorizer:
             if not pairs:
                 return matrix
             index = self._ensure_corpus_index()
-            if index is not None:
-                # Enforce the memory cap strictly *between* transforms: entry
-                # ids handed out below stay valid for the whole batch.
-                index.maybe_reset()
+            # Enforce the memory cap strictly *between* transforms: entry ids
+            # handed out below stay valid for the whole batch.
+            index.maybe_reset()
             contexts: dict[str, dict] = {}
             interned: dict[str, tuple] = {}
             values_by_attribute: dict[str, list[tuple[object, object]]] = {}
@@ -188,7 +167,7 @@ class PairVectorizer:
                 if pair_values is None:
                     pair_values = [pair.values(attribute) for pair in pairs]
                     values_by_attribute[attribute] = pair_values
-                if spec.batch_function is not None and index is not None:
+                if spec.batch_function is not None:
                     entry = interned.get(attribute)
                     if entry is None:
                         view = index.view(attribute, self._separators.get(attribute, ","))
@@ -235,13 +214,13 @@ class PairVectorizer:
     def __getstate__(self) -> dict:
         """Pickle through the persistence state, not the live ``__dict__``.
 
-        The metric functions are registry closures (not picklable), so a raw
-        ``__dict__`` pickle breaks any multiprocessing user that ships a
-        vectoriser — or anything holding one, like
-        :class:`~repro.risk.feature_generation.GeneratedRiskFeatures` — to a
-        worker.  Round-tripping through :meth:`to_state` instead rebuilds the
-        functions from the metric registry on unpickle, with the same
-        restriction as disk persistence: only registry metrics survive.
+        A raw ``__dict__`` pickle would ship the corpus index — a pure cache
+        that grows with every distinct value seen — to every worker that
+        receives a vectoriser, or anything holding one, like
+        :class:`~repro.risk.feature_generation.GeneratedRiskFeatures`.
+        Round-tripping through :meth:`to_state` instead rebuilds the specs
+        from the metric registry on unpickle, with the same restriction as
+        disk persistence: only registry metrics survive.
         """
         return self.to_state()
 

@@ -48,6 +48,8 @@ class GeneratedRiskFeatures:
         Wall-clock time of rule generation (Figure 13a): vectorising the rule
         workload, growing the forest, deduplication, redundancy removal and
         estimating the expectations; fitting a fresh vectoriser is excluded.
+        It describes the fit run, not the model, so :meth:`to_state` does not
+        save it: two fits of one spec save byte-identical models.
     """
 
     rules: list[RiskRule]
@@ -151,7 +153,6 @@ class GeneratedRiskFeatures:
         return component_state(self.STATE_KIND, self.STATE_VERSION, {
             "rules": [rule.to_dict() for rule in self.rules],
             "vectorizer": self.vectorizer.to_state() if include_vectorizer else None,
-            "generation_seconds": self.generation_seconds,
             "statistics": {str(key): float(value) for key, value in self.statistics.items()},
         })
 
@@ -181,6 +182,7 @@ class GeneratedRiskFeatures:
         return cls(
             rules=rules,
             vectorizer=vectorizer,
+            # Only models saved by older versions carry the fit run's timing.
             generation_seconds=float(state.get("generation_seconds", 0.0)),
             statistics={str(k): float(v) for k, v in state.get("statistics", {}).items()},
         )
@@ -260,7 +262,6 @@ class RiskFeatureGenerator:
             "n_rules": float(len(rules)),
             "n_matching_rules": float(sum(1 for rule in rules if rule.label == MATCH)),
             "n_unmatching_rules": float(sum(1 for rule in rules if rule.label != MATCH)),
-            "generation_seconds": elapsed,
         }
         features = GeneratedRiskFeatures(
             rules=rules,

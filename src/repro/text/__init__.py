@@ -1,44 +1,7 @@
-"""String tokenisation, similarity metrics and difference metrics."""
+"""String tokenisation and normalisation; the basic metrics live in :mod:`repro.text.batch`."""
 
-from .difference import (
-    ENTITY_NAME_DIFFERENCES,
-    ENTITY_SET_DIFFERENCES,
-    TEXT_DIFFERENCES,
-    abbr_non_prefix,
-    abbr_non_substring,
-    abbr_non_suffix,
-    diff_cardinality,
-    diff_key_token_count,
-    diff_key_token_fraction,
-    distinct_entity_count,
-    distinct_entity_fraction,
-    non_prefix,
-    non_substring,
-    non_suffix,
-    numeric_difference,
-    numeric_inequality,
-)
-from .similarity import (
-    STRING_SIMILARITIES,
-    cosine_tfidf_similarity,
-    dice_similarity,
-    edit_similarity,
-    entity_jaccard_similarity,
-    exact_match,
-    jaccard_similarity,
-    jaro_similarity,
-    jaro_winkler_similarity,
-    lcs_similarity,
-    levenshtein_distance,
-    monge_elkan_similarity,
-    ngram_jaccard_similarity,
-    numeric_equality,
-    numeric_similarity,
-    overlap_coefficient,
-)
 from .tokenize import (
     abbreviation,
-    character_ngrams,
     idf_weights,
     normalize,
     split_entity_set,
@@ -48,42 +11,9 @@ from .tokenize import (
 )
 
 __all__ = [
-    "ENTITY_NAME_DIFFERENCES",
-    "ENTITY_SET_DIFFERENCES",
-    "TEXT_DIFFERENCES",
-    "STRING_SIMILARITIES",
-    "abbr_non_prefix",
-    "abbr_non_substring",
-    "abbr_non_suffix",
     "abbreviation",
-    "character_ngrams",
-    "cosine_tfidf_similarity",
-    "dice_similarity",
-    "diff_cardinality",
-    "diff_key_token_count",
-    "diff_key_token_fraction",
-    "distinct_entity_count",
-    "distinct_entity_fraction",
-    "edit_similarity",
-    "entity_jaccard_similarity",
-    "exact_match",
     "idf_weights",
-    "jaccard_similarity",
-    "jaro_similarity",
-    "jaro_winkler_similarity",
-    "lcs_similarity",
-    "levenshtein_distance",
-    "monge_elkan_similarity",
-    "ngram_jaccard_similarity",
-    "non_prefix",
-    "non_substring",
-    "non_suffix",
     "normalize",
-    "numeric_difference",
-    "numeric_equality",
-    "numeric_inequality",
-    "numeric_similarity",
-    "overlap_coefficient",
     "split_entity_set",
     "token_counts",
     "token_set",

@@ -9,8 +9,8 @@ between the left (-1) and right (-2) side, so a pad can never equal a real
 code point or the opposite side's pad and the recurrences need no masking
 beyond the active-row bookkeeping.
 
-All three kernels are **bit-identical** to their scalar counterparts in
-:mod:`repro.text.similarity`:
+All three kernels are **bit-identical** to their per-pair reference
+definitions in ``tests/metric_oracle.py``:
 
 * edit distance and LCS length are integer DPs, so vectorising them is exact
   by construction.  The per-cell ``cur[j-1]`` dependency that blocks naive

@@ -1,8 +1,9 @@
 """Corpus interning: tokenize and normalise every record value exactly once.
 
-The scalar metrics in :mod:`repro.text.similarity` re-derive everything from
-the raw attribute values on every call: a record compared against 50 candidate
-records is normalised, tokenised and split 50 times *per metric*.  The
+A per-pair metric (like the reference definitions in
+``tests/metric_oracle.py``) re-derives everything from the raw attribute
+values on every call: a record compared against 50 candidate records is
+normalised, tokenised and split 50 times *per metric*.  The
 :class:`CorpusIndex` removes that repetition by interning each distinct
 attribute value into an integer **entry id** the first time it is seen and
 caching every derived representation against that id:
@@ -12,13 +13,14 @@ caching every derived representation against that id:
   token-id arrays (set metrics as sorted-id intersections);
 * UTF-32 character-code arrays (the batched edit / LCS / Jaro DP kernels);
 * entity-set id arrays and entity-list cardinalities (entity metrics);
-* character n-gram id arrays, abbreviations, compact (space-free) forms;
+* abbreviations and compact (space-free) forms;
 * parsed numeric values with a present mask (numeric metrics);
 * IDF-dependent rows (TF-IDF weights, key-token ids), cached per IDF table.
 
 Representations are built **lazily per attribute**: an attribute whose metrics
-never touch n-grams never pays for them, and each representation tracks a
-high-water mark so entries interned by later batches only extend the caches.
+never touch character codes never pays for them, and each representation
+tracks a high-water mark so entries interned by later batches only extend the
+caches.
 
 The index is plain picklable data (the lock is dropped and recreated), so the
 parallel engine's workers can rebuild or ship it freely; it is also bounded —
@@ -36,10 +38,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..tokenize import abbreviation, character_ngrams, normalize, split_entity_set, tokenize
-from ..similarity import _to_float
+from ..tokenize import _to_float, abbreviation, normalize, split_entity_set, tokenize
 
-#: Entry ids are indices into per-attribute lists; token/norm/entity/n-gram ids
+#: Entry ids are indices into per-attribute lists; token/norm/entity ids
 #: are indices into the corpus-wide :class:`TokenInterner`.
 _ID_DTYPE = np.int32
 
@@ -207,7 +208,7 @@ class AttributeView:
         self.name = name
         self.separator = separator
         self._entries: dict[Any, int] = {}
-        #: Raw values by entry id (scalar fallbacks and numeric parsing).
+        #: Raw values by entry id (entity splitting, abbreviations, numeric parsing).
         self.raw_values: list[Any] = []
         #: Normalised strings and their interned ids, by entry id.
         self.norms: list[str] = []
@@ -223,7 +224,6 @@ class AttributeView:
         self._char_code_arrays: list[np.ndarray] = []
         self._entity_set_arrays: list[np.ndarray] = []
         self._entity_list_sizes: list[int] = []
-        self._ngram_set_arrays: list[np.ndarray] = []
         self._abbreviations: list[str] = []
         self._compact_norms: list[str] = []
         self._numeric_values: list[float] = []
@@ -232,7 +232,6 @@ class AttributeView:
         # vectoriser passes in its metric context.  A refit swaps the table
         # object, which invalidates these caches (and only these).
         self._idf_ref: Any = _UNSET
-        self._tfidf_token_arrays: list[np.ndarray] = []
         self._tfidf_id_arrays: list[np.ndarray] = []
         self._tfidf_weight_arrays: list[np.ndarray] = []
         self._key_token_set_arrays: list[np.ndarray] = []
@@ -268,26 +267,18 @@ class AttributeView:
         self._entity_set_mirror = _ColumnMirror(object)
         self._entity_set_size_mirror = _ColumnMirror(np.int64, _array_size)
         self._entity_list_size_mirror = _ColumnMirror(np.int64)
-        self._ngram_set_mirror = _ColumnMirror(object)
-        self._ngram_set_size_mirror = _ColumnMirror(np.int64, _array_size)
         self._abbreviation_mirror = _ColumnMirror(object)
         self._compact_norm_mirror = _ColumnMirror(object)
         self._numeric_value_mirror = _ColumnMirror(float)
         self._numeric_present_mirror = _ColumnMirror(bool)
         self._key_token_set_mirror = _ColumnMirror(object)
         self._key_token_set_size_mirror = _ColumnMirror(np.int64, _array_size)
-        self._tfidf_token_mirror = _ColumnMirror(object)
         self._tfidf_id_mirror = _ColumnMirror(object)
         self._tfidf_weight_mirror = _ColumnMirror(object)
 
     # -------------------------------------------------------------- interning
     def __len__(self) -> int:
         return len(self.norms)
-
-    @property
-    def interner(self) -> TokenInterner:
-        """The corpus-wide string interner shared by every view."""
-        return self._index.strings
 
     def entry_ids(self, values: Sequence[Any]) -> np.ndarray:
         """Intern ``values`` and return their entry ids (one per value)."""
@@ -335,34 +326,12 @@ class AttributeView:
                     np.frombuffer(norm.encode("utf-32-le"), dtype=_ID_DTYPE)
                 )
 
-    def token_codes(self, token_ids: Sequence[int]) -> list[np.ndarray]:
-        """UTF-32 code arrays of interned *token* strings, one per given id.
-
-        Backed by the corpus-wide token-code cache (token vocabularies are
-        shared across attributes), so each token is encoded once ever; used by
-        the Monge-Elkan kernel to feed its inner Jaro-Winkler batch.
-        """
-        with self._index.lock:
-            cache = self._index.token_code_cache
-            strings = self._index.strings.strings
-            codes: list[np.ndarray] = []
-            append = codes.append
-            for token_id in token_ids:
-                cached = cache.get(token_id)
-                if cached is None:
-                    cached = np.frombuffer(
-                        strings[token_id].encode("utf-32-le"), dtype=_ID_DTYPE
-                    )
-                    cache[token_id] = cached
-                append(cached)
-            return codes
-
     def token_code_column(self) -> np.ndarray:
         """Corpus-wide token-id -> UTF-32 code array column (object dtype).
 
-        The vectorised counterpart of :meth:`token_codes`: kernels gather the
-        code arrays of whole token-id arrays with one fancy index instead of a
-        per-id Python loop.
+        Token vocabularies are shared across attributes, so each token is
+        encoded once ever; kernels gather the code arrays of whole token-id
+        arrays with one fancy index instead of a per-id Python loop.
         """
         return self._index.token_code_column()
 
@@ -380,13 +349,6 @@ class AttributeView:
                 entities = split_entity_set(self.raw_values[entry], self.separator)
                 self._entity_list_sizes.append(len(entities))
                 self._entity_set_arrays.append(intern.intern_sorted_set(entities))
-
-    def ensure_ngrams(self, n: int = 3) -> None:
-        with self._index.lock:
-            intern = self._index.strings
-            for entry in range(len(self._ngram_set_arrays), len(self.norms)):
-                grams = character_ngrams(self.raw_values[entry], n)
-                self._ngram_set_arrays.append(intern.intern_sorted_set(grams))
 
     def ensure_abbreviations(self) -> None:
         with self._index.lock:
@@ -412,34 +374,29 @@ class AttributeView:
         """
         if idf is not self._idf_ref:
             self._idf_ref = idf
-            self._tfidf_token_arrays.clear()
             self._tfidf_id_arrays.clear()
             self._tfidf_weight_arrays.clear()
             self._key_token_set_arrays.clear()
             self._key_token_set_mirror = _ColumnMirror(object)
             self._key_token_set_size_mirror = _ColumnMirror(np.int64, _array_size)
-            self._tfidf_token_mirror = _ColumnMirror(object)
             self._tfidf_id_mirror = _ColumnMirror(object)
             self._tfidf_weight_mirror = _ColumnMirror(object)
             self._metric_stores.clear()
 
     def ensure_tfidf_rows(self, idf: dict[str, float] | None) -> None:
-        """Sorted token arrays + TF-IDF weights, aligned, per entry.
+        """Token-id arrays + TF-IDF weights, aligned, per entry.
 
-        Token arrays are sorted by token *string* (the scalar path's sorted
+        Token ids are in token *string* order (the reference cosine's sorted
         vocabulary) and weights are ``count * idf.get(token, 1.0)`` — exactly
-        the products the scalar cosine builds per call.
+        the products the reference builds per call.
         """
         self.ensure_token_counts()
         with self._index.lock:
             self._sync_idf(idf)
             intern = self._index.strings
-            for entry in range(len(self._tfidf_token_arrays), len(self.norms)):
+            for entry in range(len(self._tfidf_id_arrays), len(self.norms)):
                 counts = self._token_counts[entry]
                 tokens = sorted(counts)
-                self._tfidf_token_arrays.append(
-                    np.array(tokens, dtype=np.str_) if tokens else np.empty(0, dtype="U1")
-                )
                 self._tfidf_id_arrays.append(intern.intern_sequence(tokens))
                 if idf:
                     weights = [counts[token] * idf.get(token, 1.0) for token in tokens]
@@ -450,7 +407,7 @@ class AttributeView:
     def ensure_key_tokens(self, idf: dict[str, float] | None, threshold: float) -> None:
         """Sorted ids of the *discriminating* tokens of each entry.
 
-        Mirrors the ``_is_key`` predicate of the diff-key-token metrics: with
+        Mirrors the ``_is_key`` predicate of the diff-key-token reference: with
         an IDF table, tokens whose weight meets ``threshold``; without one,
         tokens longer than three characters that are not digits.
         """
@@ -489,10 +446,6 @@ class AttributeView:
         with self._index.lock:
             return self._norm_mirror.sync(self.norms)
 
-    def token_id_column(self) -> np.ndarray:
-        with self._index.lock:
-            return self._token_id_mirror.sync(self._token_id_arrays)
-
     def token_id_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ordered token-id arrays, token counts)``, aligned by entry id."""
         with self._index.lock:
@@ -527,13 +480,6 @@ class AttributeView:
         with self._index.lock:
             return self._entity_list_size_mirror.sync(self._entity_list_sizes)
 
-    def ngram_set_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        with self._index.lock:
-            return (
-                self._ngram_set_mirror.sync(self._ngram_set_arrays),
-                self._ngram_set_size_mirror.sync(self._ngram_set_arrays),
-            )
-
     def abbreviation_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(abbreviations, compact norms)`` as object columns."""
         with self._index.lock:
@@ -557,20 +503,12 @@ class AttributeView:
                 self._key_token_set_size_mirror.sync(self._key_token_set_arrays),
             )
 
-    def tfidf_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sorted token-string arrays, aligned weight arrays)`` columns."""
-        with self._index.lock:
-            return (
-                self._tfidf_token_mirror.sync(self._tfidf_token_arrays),
-                self._tfidf_weight_mirror.sync(self._tfidf_weight_arrays),
-            )
-
     def tfidf_id_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(interned token-id arrays, aligned weight arrays)`` columns.
 
-        Same per-entry order as :meth:`tfidf_columns` (sorted by token
-        string); the ids let the cosine kernel rank union members through
-        :meth:`lex_rank_column` instead of re-sorting token strings.
+        Each entry's ids are in token-string order; they let the cosine
+        kernel rank union members through :meth:`lex_rank_column` instead of
+        re-sorting token strings.
         """
         with self._index.lock:
             return (
@@ -714,70 +652,6 @@ class AttributeView:
             store.scores[ids] = values
             store.known[ids] = True
 
-    # ------------------------------------------------------------- accessors
-    # Kernels gather per-entry rows with plain list indexing; these aliases
-    # keep the call sites readable without hiding the laziness contract
-    # (callers must ensure_* the representation first).
-    @property
-    def token_lists(self) -> list[list[str]]:
-        return self._token_lists
-
-    @property
-    def token_id_arrays(self) -> list[np.ndarray]:
-        return self._token_id_arrays
-
-    @property
-    def token_set_arrays(self) -> list[np.ndarray]:
-        return self._token_set_arrays
-
-    @property
-    def token_counts(self) -> list[Counter]:
-        return self._token_counts
-
-    @property
-    def char_code_arrays(self) -> list[np.ndarray]:
-        return self._char_code_arrays
-
-    @property
-    def entity_set_arrays(self) -> list[np.ndarray]:
-        return self._entity_set_arrays
-
-    @property
-    def entity_list_sizes(self) -> list[int]:
-        return self._entity_list_sizes
-
-    @property
-    def ngram_set_arrays(self) -> list[np.ndarray]:
-        return self._ngram_set_arrays
-
-    @property
-    def abbreviations(self) -> list[str]:
-        return self._abbreviations
-
-    @property
-    def compact_norms(self) -> list[str]:
-        return self._compact_norms
-
-    @property
-    def numeric_values(self) -> list[float]:
-        return self._numeric_values
-
-    @property
-    def numeric_present(self) -> list[bool]:
-        return self._numeric_present
-
-    @property
-    def tfidf_token_arrays(self) -> list[np.ndarray]:
-        return self._tfidf_token_arrays
-
-    @property
-    def tfidf_weight_arrays(self) -> list[np.ndarray]:
-        return self._tfidf_weight_arrays
-
-    @property
-    def key_token_set_arrays(self) -> list[np.ndarray]:
-        return self._key_token_set_arrays
-
 
 class _Unset:
     """Sentinel distinguishing "no IDF table yet" from "IDF table is None"."""
@@ -807,8 +681,7 @@ class CorpusIndex:
     def __init__(self, max_entries: int = 1_000_000) -> None:
         self.max_entries = max_entries
         self.strings = TokenInterner()
-        #: Interned-token id -> UTF-32 code array (see AttributeView.token_codes).
-        self.token_code_cache: dict[int, np.ndarray] = {}
+        #: Interned-string id -> UTF-32 code array (see token_code_column).
         self._token_code_mirror = _ColumnMirror(object, _encode_utf32)
         # Sorted packed (left token << 32) | right token keys and their inner
         # Jaro-Winkler scores, memoised corpus-wide for Monge-Elkan: token
@@ -952,7 +825,6 @@ class CorpusIndex:
         """Drop every view and every interned string (memory release)."""
         with self.lock:
             self.strings = TokenInterner()
-            self.token_code_cache = {}
             self._token_code_mirror = _ColumnMirror(object, _encode_utf32)
             self._token_pair_jw_keys = np.empty(0, dtype=np.int64)
             self._token_pair_jw_scores = np.empty(0, dtype=float)

@@ -1,4 +1,4 @@
-"""Column-level batch kernels for every registry metric.
+"""Column-level batch kernels: the one shipped definition of every registry metric.
 
 Each kernel computes one metric over a whole column of interned pairs at once:
 it receives the attribute's :class:`~repro.text.batch.interner.AttributeView`,
@@ -16,20 +16,21 @@ matters beyond raw speed — per-element Python work costs one traced
 allocation per element under ``tracemalloc``, which is how
 ``benchmarks/bench_layers.py`` takes the scoring pipeline's peak memory.
 
-**Bit-exactness is the contract.**  Every kernel reproduces its scalar
-counterpart's arithmetic exactly, not approximately:
+**Bit-exactness is the contract.**  Every kernel reproduces, exactly and not
+approximately, the arithmetic of its per-pair reference definition in
+``tests/metric_oracle.py``, which the parity suites compare it against:
 
-* count ratios (Jaccard, overlap, Dice, distinct-entity, diff-key-token, the
+* count ratios (Jaccard, overlap, distinct-entity, diff-key-token, the
   DP-based edit/LCS similarities) are ``int64 / int64`` numpy divisions —
   IEEE-754 correctly-rounded, identical to Python's ``int / int`` for these
   magnitudes;
 * TF-IDF cosine rebuilds, per pair, the *same* sorted union vocabulary and
-  the same dense vectors as the scalar code and calls the same
+  the same dense vectors as the reference and calls the same
   ``np.dot`` / ``np.linalg.norm`` reductions on them, so the BLAS summation
   order (which depends on vector length and contents) cannot diverge —
   including the final 1-ulp ``min(1.0, ...)`` clamp;
 * compound float expressions (Jaro-Winkler, numeric similarity) are written
-  in the scalar code's operation order so every intermediate rounds
+  in the reference's operation order so every intermediate rounds
   identically;
 * the missing-value preludes (both-missing ``1.0`` / one-missing ``0.0`` for
   similarity metrics, either-missing ``0.0`` for difference metrics) and each
@@ -162,14 +163,14 @@ def _ratio_into(
 
 
 # ------------------------------------------------------- token-set kernels
-# Jaccard, overlap and Dice are three ratios of the same (|L∩R|, |L|, |R|)
-# triple, so whichever of the three columns runs first computes all of them
-# over the (expensive) shared intersection pass and stashes the other two in
-# the view's score store — those columns then never run a kernel at all.
-_TOKEN_SET_METRICS = ("jaccard", "overlap", "dice")
+# Jaccard and overlap are two ratios of the same (|L∩R|, |L|, |R|) triple, so
+# whichever column runs first computes both over the (expensive) shared
+# intersection pass and stashes the other in the view's score store — that
+# column then never runs a kernel at all.
+_TOKEN_SET_METRICS = ("jaccard", "overlap")
 
 
-def _token_set_trio(view, left_ids, right_ids, context, want):
+def _token_set_pair(view, left_ids, right_ids, context, want):
     view.ensure_tokens()
     out, active = _prelude(view, left_ids, right_ids, 1.0)
     rows, ls, rs, inter = _set_column(view.token_set_columns(), active, left_ids, right_ids)
@@ -180,8 +181,6 @@ def _token_set_trio(view, left_ids, right_ids, context, want):
     }
     _ratio_into(columns["jaccard"], rows, inter, ls + rs - inter, both_empty, one_empty, 1.0)
     _ratio_into(columns["overlap"], rows, inter, np.minimum(ls, rs), both_empty, one_empty, 1.0)
-    # Scalar Dice: 2.0 * |L∩R| / (|L| + |R|) — float * int then / int, replicated.
-    _ratio_into(columns["dice"], rows, 2.0 * inter, ls + rs, both_empty, one_empty, 1.0)
     for metric, column in columns.items():
         if metric != want:
             view.stash_scores(metric, left_ids, right_ids, column)
@@ -189,31 +188,15 @@ def _token_set_trio(view, left_ids, right_ids, context, want):
 
 
 def _jaccard_kernel(view, left_ids, right_ids, context):
-    return _token_set_trio(view, left_ids, right_ids, context, "jaccard")
+    return _token_set_pair(view, left_ids, right_ids, context, "jaccard")
 
 
 def _overlap_kernel(view, left_ids, right_ids, context):
-    return _token_set_trio(view, left_ids, right_ids, context, "overlap")
-
-
-def _dice_kernel(view, left_ids, right_ids, context):
-    return _token_set_trio(view, left_ids, right_ids, context, "dice")
-
-
-def _ngram_jaccard_kernel(view, left_ids, right_ids, context):
-    view.ensure_ngrams()
-    out, active = _prelude(view, left_ids, right_ids, 1.0)
-    rows, ls, rs, inter = _set_column(view.ngram_set_columns(), active, left_ids, right_ids)
-    # Scalar n-gram Jaccard scores 0.0 whenever either gram set is empty —
-    # including both-empty (no both-empty -> 1.0 rule here).
-    any_empty = (ls == 0) | (rs == 0)
-    return _ratio_into(
-        out, rows, inter, ls + rs - inter, np.zeros_like(any_empty), any_empty, 0.0
-    )
+    return _token_set_pair(view, left_ids, right_ids, context, "overlap")
 
 
 # Entity Jaccard and distinct-entity share one entity-set intersection pass;
-# see the token-set trio above for the stash-the-companion pattern.  Their
+# see the token-set pair above for the stash-the-companion pattern.  Their
 # missing-value preludes differ (similarity vs difference family), so the
 # companion column is built from scratch rather than copied.
 def _entity_pair(view, left_ids, right_ids, context, want):
@@ -300,7 +283,7 @@ def _dp_rows(view, active, left_ids, right_ids):
 # Edit, LCS and Jaro-Winkler read the same packed character matrices, so one
 # shared pass computes all three (the Levenshtein and LCS recurrences even
 # share their per-row character-equality masks) and stashes the two companion
-# columns — the stash-the-companion pattern of the token-set trio.
+# columns — the stash-the-companion pattern of the token-set pair.
 _CHAR_METRICS = ("edit", "lcs", "jaro_winkler")
 
 
@@ -523,17 +506,6 @@ def _non_prefix_kernel(view, left_ids, right_ids, context):
     return out
 
 
-def _non_suffix_kernel(view, left_ids, right_ids, context):
-    out, active = _prelude(view, left_ids, right_ids, 0.0)
-    for position, left_norm, right_norm in _norm_pairs(view, active, left_ids, right_ids):
-        out[position] = (
-            0.0
-            if (left_norm.endswith(right_norm) or right_norm.endswith(left_norm))
-            else 1.0
-        )
-    return out
-
-
 def _abbr_non_substring_kernel(view, left_ids, right_ids, context):
     view.ensure_abbreviations()
     out, active = _prelude(view, left_ids, right_ids, 0.0)
@@ -577,7 +549,7 @@ def _abbr_non_prefix_kernel(view, left_ids, right_ids, context):
 def _numeric_column(view, left_ids, right_ids):
     """Present masks and parsed values for a numeric column.
 
-    Numeric metrics define "missing" by :func:`~repro.text.similarity._to_float`
+    Numeric metrics define "missing" by :func:`~repro.text.tokenize._to_float`
     (non-parseable or non-finite), not by the normalised-string emptiness the
     string preludes use — ``"n/a"`` is missing here but present there.
     """
@@ -624,16 +596,13 @@ def _numeric_difference_kernel(view, left_ids, right_ids, context):
     return out
 
 
-#: Metric short name -> batch kernel.  Every metric the registry emits is
-#: covered, so a fitted default vectoriser runs fully batched; unknown names
-#: (custom metrics) simply keep ``batch_function=None`` and take the scalar
-#: fallback column-by-column.
+#: Metric short name -> batch kernel, for exactly the metrics the registry
+#: emits: a fitted default vectoriser runs fully batched, and a kernel no
+#: registry spec reaches fails the guard in the registry tests.
 BATCH_KERNELS: dict[str, BatchKernel] = {
     "exact": _exact_kernel,
     "jaccard": _jaccard_kernel,
     "overlap": _overlap_kernel,
-    "dice": _dice_kernel,
-    "ngram_jaccard": _ngram_jaccard_kernel,
     "edit": _edit_kernel,
     "lcs": _lcs_kernel,
     "jaro_winkler": _jaro_winkler_kernel,
@@ -645,7 +614,6 @@ BATCH_KERNELS: dict[str, BatchKernel] = {
     "diff_key_token": _diff_key_token_kernel,
     "non_substring": _non_substring_kernel,
     "non_prefix": _non_prefix_kernel,
-    "non_suffix": _non_suffix_kernel,
     "abbr_non_substring": _abbr_non_substring_kernel,
     "abbr_non_prefix": _abbr_non_prefix_kernel,
     "numeric_similarity": _numeric_similarity_kernel,

@@ -1,9 +1,11 @@
-"""Tokenisation and normalisation helpers shared by all string metrics.
+"""Tokenisation and normalisation helpers shared by all metrics.
 
-Normalisation, tokenisation and n-gram extraction are memoised process-wide
-(bounded LRU caches): every metric call and every corpus-index build re-derives
-representations from the same handful of distinct values, so the caches turn
-the scalar fallback path's repeated regex work into dictionary lookups.  The
+These derive every representation the corpus index caches per distinct value
+(normalised string, tokens, entity names, abbreviation, parsed number), and
+the IDF tables the vectoriser fits.  Normalisation and tokenisation are
+memoised process-wide (bounded LRU caches): blocking, IDF fitting and the
+corpus index re-derive representations from the same handful of distinct
+values, so the caches turn repeated regex work into dictionary lookups.  The
 cached layers return immutable tuples; the public helpers copy them into fresh
 lists, preserving the original "caller may mutate the result" contract.
 """
@@ -14,6 +16,8 @@ import re
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable
+
+import numpy as np
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 _WHITESPACE = re.compile(r"\s+")
@@ -61,25 +65,6 @@ def token_counts(value: str | None) -> Counter:
     return Counter(tokenize(value))
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _ngram_tuple(normalized: str, n: int) -> tuple[str, ...]:
-    text = normalized.replace(" ", "_")
-    if not text:
-        return ()
-    if len(text) < n:
-        return (text.ljust(n, "#"),)
-    return tuple(text[i:i + n] for i in range(len(text) - n + 1))
-
-
-def character_ngrams(value: str | None, n: int = 3) -> list[str]:
-    """Return the character ``n``-grams of the normalised value.
-
-    Values shorter than ``n`` produce a single n-gram padded with ``#`` so that
-    short strings still compare meaningfully.
-    """
-    return list(_ngram_tuple(normalize(value), n))
-
-
 def split_entity_set(value: str | None, separator: str = ",") -> list[str]:
     """Split an entity-set value (e.g. an author list) into normalised names.
 
@@ -114,7 +99,10 @@ def idf_weights(documents: Iterable[str | None]) -> dict[str, float]:
     """Compute inverse-document-frequency weights over a corpus of values.
 
     Used by the ``diff-key-token`` difference metric and by TF-IDF cosine
-    similarity to decide which tokens are *discriminating*.
+    similarity to decide which tokens are *discriminating*.  The table is
+    keyed in sorted token order, not in set order, which follows the
+    per-process string hash seed: a saved vectoriser then has the same bytes
+    in every process.
     """
     import math
 
@@ -130,5 +118,27 @@ def idf_weights(documents: Iterable[str | None]) -> dict[str, float]:
         return {}
     return {
         token: math.log((1 + n_documents) / (1 + frequency)) + 1.0
-        for token, frequency in document_frequency.items()
+        for token, frequency in sorted(document_frequency.items())
     }
+
+
+def _to_float(value: float | str | None) -> float | None:
+    """Best-effort conversion of a raw attribute value to a *finite* ``float``.
+
+    This is what numeric metrics call missing: ``None``, blanks, text that does
+    not parse, and strings like ``"nan"`` / ``"inf"``, which parse as floats
+    but would poison every downstream ratio with non-finite values.
+    """
+    if value is None:
+        return None
+    if isinstance(value, (int, float)):
+        result = float(value)
+        return result if np.isfinite(result) else None
+    text = str(value).strip()
+    if not text:
+        return None
+    try:
+        result = float(text)
+    except ValueError:
+        return None
+    return result if np.isfinite(result) else None

@@ -1,8 +1,9 @@
 """End-to-end parity of the batched vectorisation path.
 
-``PairVectorizer(batch_enabled=...)`` is a pure throughput toggle: these
-tests pin the contract at the vectoriser level (bit-identical matrices with
-batching on and off, on real DS-generated workloads), at the serving level
+The kernels are the only shipped definition of the registry metrics; these
+tests pin them at the vectoriser level (bit-identical matrices against the
+scalar oracle of ``tests/metric_oracle.py``, run through the custom-metric
+per-pair loop on real DS-generated workloads), at the serving level
 (concurrent workers sharing one corpus index), and around the lifecycle
 edges (pickling drops the index; telemetry proves which path ran).
 """
@@ -18,6 +19,8 @@ import pytest
 from repro.features.metric_registry import MetricSpec, metrics_for_schema
 from repro.features.vectorizer import PairVectorizer
 from repro.obs import MetricsRegistry, use_recorder
+
+from metric_oracle import oracle_specs
 
 
 def chunked(pairs, size):
@@ -36,15 +39,18 @@ def batched_vectorizer(ds_workload):
 
 
 class TestBitParity:
-    def test_batch_on_equals_batch_off(self, ds_workload, scoring_sample, batched_vectorizer):
-        scalar = PairVectorizer(
-            ds_workload.left_table.schema, batch_enabled=False
-        ).fit_workload(ds_workload)
-        batched_matrix = batched_vectorizer.transform(scoring_sample)
-        scalar_matrix = scalar.transform(scoring_sample)
-        # Bitwise, not approximate: the kernels replicate scalar op order.
-        assert np.array_equal(batched_matrix, scalar_matrix)
-        assert scalar.corpus_index is None  # the toggle really disabled it
+    def test_kernels_equal_oracle_scalar_loop(self, ds_workload, scoring_sample, batched_vectorizer):
+        schema = ds_workload.left_table.schema
+        oracle = PairVectorizer(schema, metrics=oracle_specs(schema)).fit_workload(ds_workload)
+        assert oracle.feature_names == batched_vectorizer.feature_names
+        registry = MetricsRegistry()
+        with use_recorder(registry):
+            oracle_matrix = oracle.transform(scoring_sample)
+        # Every oracle column ran through the custom-metric per-pair loop.
+        assert registry.counter_value("vectorize.scalar_columns") == oracle.n_features
+        assert registry.counter_value("vectorize.batch_columns") == 0
+        # Bitwise, not approximate: the kernels replicate the oracle's op order.
+        assert np.array_equal(batched_vectorizer.transform(scoring_sample), oracle_matrix)
 
     def test_chunked_transforms_equal_one_shot(self, scoring_sample, batched_vectorizer):
         # Chunking exercises cross-batch memoisation: later chunks resolve
@@ -97,9 +103,6 @@ class TestTelemetry:
         )
         specs = metrics_for_schema(schema) + [custom]
         vectorizer = PairVectorizer(schema, metrics=specs).fit_workload(ds_workload)
-        coverage = vectorizer.batch_coverage()
-        assert coverage["scalar"] == ["title.always_half"]
-        assert len(coverage["batched"]) == len(specs) - 1
         registry = MetricsRegistry()
         with use_recorder(registry):
             matrix = vectorizer.transform(scoring_sample[:10])

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.data.records import Record, RecordPair, Table
 from repro.data.schema import Attribute, AttributeType
+from repro.exceptions import ConfigurationError
 from repro.features.metric_registry import (
     DIFFERENCE,
     SIMILARITY,
+    MetricSpec,
     count_metrics,
     metrics_for_attribute,
     metrics_for_schema,
 )
+from repro.features.vectorizer import PairVectorizer
+from repro.text.batch import BATCH_KERNELS
+
+
+def paper_record(record_id: str, title: str, year: int, source: str = "left") -> Record:
+    values = {"title": title, "authors": "A Smith", "venue": "VLDB", "year": year}
+    return Record(record_id=record_id, values=values, source=source)
 
 
 class TestMetricsForAttribute:
@@ -43,6 +55,22 @@ class TestMetricsForAttribute:
         specs = metrics_for_attribute(Attribute("year", AttributeType.NUMERIC))
         assert all(spec.name.startswith("year.") for spec in specs)
 
+    def test_kernels_are_exactly_the_emitted_metrics(self):
+        # A kernel no attribute type emits is unreachable code; a missing
+        # one would already fail metrics_for_attribute with a KeyError.
+        emitted = {
+            spec.metric
+            for attr_type in AttributeType
+            for spec in metrics_for_attribute(Attribute("value", attr_type))
+        }
+        assert set(BATCH_KERNELS) == emitted
+
+
+class TestMetricSpec:
+    def test_spec_without_any_callable_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="title.nothing"):
+            MetricSpec(attribute="title", metric="nothing", kind="similarity")
+
 
 class TestMetricsForSchema:
     def test_counts(self, paper_schema):
@@ -52,17 +80,26 @@ class TestMetricsForSchema:
         assert counts[SIMILARITY] + counts[DIFFERENCE] == counts["total"]
         assert counts[DIFFERENCE] >= 5  # year, venue, authors, title difference metrics
 
-    def test_spec_callable_evaluates_metric(self, paper_schema):
-        specs = metrics_for_schema(paper_schema)
-        year_inequality = next(spec for spec in specs if spec.name == "year.numeric_inequality")
-        assert year_inequality(1994, 1996) == 1.0
-        assert year_inequality(1994, 1994) == 0.0
+    def test_spec_scores_through_vectorizer(self, paper_schema):
+        vectorizer = PairVectorizer(paper_schema).fit(None, None)
+        pairs = [
+            RecordPair(paper_record("l", "t", 1994), paper_record("r", "t", year, "right"))
+            for year in (1996, 1994)
+        ]
+        column = vectorizer.transform(pairs)[:, vectorizer.metric_index("year.numeric_inequality")]
+        assert column.tolist() == [1.0, 0.0]
 
     def test_idf_context_forwarded(self, paper_schema):
-        specs = metrics_for_schema(paper_schema)
-        cosine = next(spec for spec in specs if spec.name == "title.cosine_tfidf")
-        idf = {"indexing": 5.0, "for": 0.2}
-        with_context = cosine("indexing for databases", "indexing for graphs", {"idf": idf})
-        without_context = cosine("indexing for databases", "indexing for graphs", {})
+        corpus = Table("corpus", paper_schema)
+        for index, title in enumerate(["indexing for databases", "for graphs", "for trees"]):
+            corpus.add(paper_record(f"c{index}", title, 2000))
+        pair = RecordPair(paper_record("l", "indexing for databases", 2000),
+                          paper_record("r", "indexing for graphs", 2000, "right"))
+        # The fitted IDF table reaches the cosine kernel through the context.
+        informed = PairVectorizer(paper_schema).fit(corpus, None)
+        uninformed = PairVectorizer(paper_schema).fit(None, None)
+        column = informed.metric_index("title.cosine_tfidf")
+        with_context = informed.transform_pair(pair)[column]
+        without_context = uninformed.transform_pair(pair)[column]
         assert 0.0 <= with_context <= 1.0
         assert with_context != without_context

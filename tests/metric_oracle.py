@@ -1,15 +1,25 @@
-"""String and numeric similarity metrics.
+"""Scalar reference definitions of the basic metrics (Section 5.1, Figure 5).
 
-These are the "basic metrics" of Section 5.1 that focus on the *common* part of
-two values.  All functions are symmetric, return a float in ``[0, 1]`` (1 means
-identical) and treat ``None``/empty values conservatively: if both values are
-missing the similarity is 1.0, if exactly one is missing it is 0.0.
+The metrics the registry emits ship only as the batched kernels of
+:mod:`repro.text.batch.kernels`.  This module is their oracle: one plain
+per-pair Python function per emitted metric, which the parity suites compare
+against the kernels with ``np.array_equal`` — bit for bit, never
+approximately.  A kernel change that moves any score by one ulp fails there.
 
-The library implements the classic metrics used by rule-based ER systems and by
-the paper's running examples: normalised edit distance, Jaro and Jaro-Winkler,
-longest common subsequence (LCS), token Jaccard / overlap / Dice, entity-set
-Jaccard, Monge-Elkan, TF-IDF cosine, character n-gram Jaccard, exact match and
-numeric absolute/relative similarity.
+Similarity metrics focus on the *common* part of two values; they are
+symmetric, return a float in ``[0, 1]`` (1 means identical) and treat
+``None``/empty values conservatively: both missing scores 1.0, exactly one
+missing scores 0.0.  Difference metrics capture what is *different* and are
+better indicators of inequivalence; a missing side carries no evidence of
+difference, so it scores 0.0.
+
+:func:`oracle_function` adapts a definition to the
+:data:`~repro.features.metric_registry.MetricFunction` form a hand-built
+:class:`~repro.features.metric_registry.MetricSpec` carries, and
+:func:`oracle_specs` builds the registry's metric list in that form, so a
+vectoriser can score a schema through the scalar loop instead of the kernels.
+:func:`kernel_columns` scores the kernels of one attribute on a fresh corpus
+index; the parity and property suites share it.
 """
 
 from __future__ import annotations
@@ -18,8 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tokenize import (
-    character_ngrams,
+from repro.data.schema import Attribute, Schema
+from repro.features.metric_registry import MetricFunction, MetricSpec, metrics_for_attribute
+from repro.text.batch.interner import CorpusIndex
+from repro.text.tokenize import (
+    _to_float,
+    abbreviation,
     normalize,
     split_entity_set,
     token_counts,
@@ -28,6 +42,7 @@ from .tokenize import (
 )
 
 
+# ----------------------------------------------------------------- similarity
 def _missing(left: str | None, right: str | None) -> float | None:
     """Shared missing-value handling; returns a score or ``None`` to continue."""
     left_norm = normalize(left)
@@ -183,31 +198,6 @@ def overlap_coefficient(left: str | None, right: str | None) -> float:
     return len(left_tokens & right_tokens) / min(len(left_tokens), len(right_tokens))
 
 
-def dice_similarity(left: str | None, right: str | None) -> float:
-    """Sørensen–Dice coefficient on token sets."""
-    score = _missing(left, right)
-    if score is not None:
-        return score
-    left_tokens, right_tokens = token_set(left), token_set(right)
-    if not left_tokens and not right_tokens:
-        return 1.0
-    if not left_tokens or not right_tokens:
-        return 0.0
-    return 2.0 * len(left_tokens & right_tokens) / (len(left_tokens) + len(right_tokens))
-
-
-def ngram_jaccard_similarity(left: str | None, right: str | None, n: int = 3) -> float:
-    """Jaccard similarity on character n-grams (robust to small typos)."""
-    score = _missing(left, right)
-    if score is not None:
-        return score
-    left_grams = set(character_ngrams(left, n))
-    right_grams = set(character_ngrams(right, n))
-    if not left_grams or not right_grams:
-        return 0.0
-    return len(left_grams & right_grams) / len(left_grams | right_grams)
-
-
 def monge_elkan_similarity(
     left: str | None,
     right: str | None,
@@ -298,49 +288,198 @@ def numeric_similarity(left: float | str | None, right: float | str | None) -> f
     return float(np.clip(1.0 - abs(left_value - right_value) / denominator, 0.0, 1.0))
 
 
-def numeric_equality(left: float | str | None, right: float | str | None) -> float:
-    """1.0 when two numeric values are equal, 0.0 otherwise (missing treated as above)."""
-    left_value = _to_float(left)
-    right_value = _to_float(right)
-    if left_value is None and right_value is None:
-        return 1.0
+# ----------------------------------------------------------------- difference
+def _one_sided_missing(left: str | None, right: str | None) -> float | None:
+    """Missing-value policy for difference metrics: a missing side scores 0.0."""
+    if not normalize(left) or not normalize(right):
+        return 0.0
+    return None
+
+
+def non_substring(left: str | None, right: str | None) -> float:
+    """1.0 when neither normalised value is a substring of the other."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_norm, right_norm = normalize(left), normalize(right)
+    return 0.0 if (left_norm in right_norm or right_norm in left_norm) else 1.0
+
+
+def non_prefix(left: str | None, right: str | None) -> float:
+    """1.0 when neither normalised value is a prefix of the other."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_norm, right_norm = normalize(left), normalize(right)
+    return 0.0 if (left_norm.startswith(right_norm) or right_norm.startswith(left_norm)) else 1.0
+
+
+def _abbr_pair(left: str | None, right: str | None) -> tuple[str, str, str, str]:
+    """Return the normalised values and their first-letter abbreviations."""
+    return (normalize(left), normalize(right), abbreviation(left), abbreviation(right))
+
+
+def abbr_non_substring(left: str | None, right: str | None) -> float:
+    """1.0 when neither abbreviation is a substring of the other value (or abbreviation)."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_norm, right_norm, left_abbr, right_abbr = _abbr_pair(left, right)
+    compact_left = left_norm.replace(" ", "")
+    compact_right = right_norm.replace(" ", "")
+    contained = (
+        left_abbr in compact_right
+        or right_abbr in compact_left
+        or left_abbr in right_abbr
+        or right_abbr in left_abbr
+    )
+    return 0.0 if contained else 1.0
+
+
+def abbr_non_prefix(left: str | None, right: str | None) -> float:
+    """1.0 when neither abbreviation is a prefix of the other value's abbreviation."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    _, _, left_abbr, right_abbr = _abbr_pair(left, right)
+    contained = left_abbr.startswith(right_abbr) or right_abbr.startswith(left_abbr)
+    return 0.0 if contained else 1.0
+
+
+def diff_cardinality(left: str | None, right: str | None, separator: str = ",") -> float:
+    """1.0 when the two entity sets contain different numbers of entities."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_entities = split_entity_set(left, separator)
+    right_entities = split_entity_set(right, separator)
+    return 1.0 if len(left_entities) != len(right_entities) else 0.0
+
+
+def distinct_entity_fraction(left: str | None, right: str | None, separator: str = ",") -> float:
+    """Entities present in exactly one set (Example 1), over the union size."""
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_entities = set(split_entity_set(left, separator))
+    right_entities = set(split_entity_set(right, separator))
+    union = left_entities | right_entities
+    if not union:
+        return 0.0
+    return len(left_entities ^ right_entities) / len(union)
+
+
+def diff_key_token_fraction(
+    left: str | None,
+    right: str | None,
+    idf: dict[str, float] | None = None,
+    idf_threshold: float = 2.0,
+) -> float:
+    """Discriminating tokens in exactly one text, over the key tokens of the union.
+
+    A token is discriminating when its IDF weight reaches ``idf_threshold``;
+    with no IDF table supplied, every token longer than three characters that
+    is not all digits is.
+    """
+    score = _one_sided_missing(left, right)
+    if score is not None:
+        return score
+    left_tokens, right_tokens = token_set(left), token_set(right)
+
+    def _is_key(token: str) -> bool:
+        if idf is not None:
+            return idf.get(token, idf_threshold + 1.0) >= idf_threshold
+        return len(token) > 3 and not token.isdigit()
+
+    key_union = {token for token in (left_tokens | right_tokens) if _is_key(token)}
+    if not key_union:
+        return 0.0
+    key_exclusive = {token for token in (left_tokens ^ right_tokens) if _is_key(token)}
+    return len(key_exclusive) / len(key_union)
+
+
+def numeric_inequality(left: float | str | None, right: float | str | None) -> float:
+    """1.0 when the two numeric values differ (the paper's Year example, Eq. 1)."""
+    left_value, right_value = _to_float(left), _to_float(right)
     if left_value is None or right_value is None:
         return 0.0
-    return 1.0 if left_value == right_value else 0.0
+    return 1.0 if left_value != right_value else 0.0
 
 
-def _to_float(value: float | str | None) -> float | None:
-    """Best-effort conversion of a raw attribute value to a *finite* ``float``.
-
-    Strings like ``"nan"`` / ``"inf"`` parse as floats but would poison every
-    downstream ratio with non-finite values, so they count as missing.
-    """
-    if value is None:
-        return None
-    if isinstance(value, (int, float)):
-        result = float(value)
-        return result if np.isfinite(result) else None
-    text = str(value).strip()
-    if not text:
-        return None
-    try:
-        result = float(text)
-    except ValueError:
-        return None
-    return result if np.isfinite(result) else None
+def numeric_difference(left: float | str | None, right: float | str | None) -> float:
+    """Relative numeric difference ``|a - b| / max(|a|, |b|)`` clipped to [0, 1]."""
+    left_value, right_value = _to_float(left), _to_float(right)
+    if left_value is None or right_value is None:
+        return 0.0
+    denominator = max(abs(left_value), abs(right_value))
+    if denominator == 0.0:
+        return 0.0
+    return float(min(1.0, abs(left_value - right_value) / denominator))
 
 
-#: Registry of the similarity functions applicable to generic string values,
-#: keyed by the short names used in generated rule descriptions.
-STRING_SIMILARITIES: dict[str, Callable[[str | None, str | None], float]] = {
+# ------------------------------------------------------------------ adapters
+#: Registry metric name -> its scalar definition.
+ORACLE: dict[str, Callable[..., float]] = {
     "exact": exact_match,
     "edit": edit_similarity,
     "jaro_winkler": jaro_winkler_similarity,
     "lcs": lcs_similarity,
     "jaccard": jaccard_similarity,
     "overlap": overlap_coefficient,
-    "dice": dice_similarity,
-    "ngram_jaccard": ngram_jaccard_similarity,
     "monge_elkan": monge_elkan_similarity,
-    "cosine": cosine_tfidf_similarity,
+    "cosine_tfidf": cosine_tfidf_similarity,
+    "entity_jaccard": entity_jaccard_similarity,
+    "numeric_similarity": numeric_similarity,
+    "non_substring": non_substring,
+    "non_prefix": non_prefix,
+    "abbr_non_substring": abbr_non_substring,
+    "abbr_non_prefix": abbr_non_prefix,
+    "diff_cardinality": diff_cardinality,
+    "distinct_entity": distinct_entity_fraction,
+    "diff_key_token": diff_key_token_fraction,
+    "numeric_inequality": numeric_inequality,
+    "numeric_difference": numeric_difference,
 }
+
+#: Definitions that split entity sets with the attribute's separator.
+_SEPARATED = frozenset({"entity_jaccard", "diff_cardinality", "distinct_entity"})
+#: Definitions that read the vectoriser's IDF table from the metric context.
+_IDF_AWARE = frozenset({"cosine_tfidf", "diff_key_token"})
+
+
+def oracle_function(attribute: Attribute, metric: str) -> MetricFunction:
+    """The scalar definition of ``metric`` on ``attribute``, as a ``MetricFunction``."""
+    function = ORACLE[metric]
+    if metric in _SEPARATED:
+        return lambda left, right, context: function(left, right, separator=attribute.separator)
+    if metric in _IDF_AWARE:
+        return lambda left, right, context: function(left, right, idf=context.get("idf"))
+    return lambda left, right, context: function(left, right)
+
+
+def oracle_specs(schema: Schema) -> list[MetricSpec]:
+    """The registry's metrics for ``schema``, as hand-built specs scored by the oracle."""
+    return [
+        MetricSpec(spec.attribute, spec.metric, spec.kind,
+                   function=oracle_function(attribute, spec.metric))
+        for attribute in schema
+        for spec in metrics_for_attribute(attribute)
+    ]
+
+
+def kernel_columns(
+    attribute: Attribute, lefts: Sequence, rights: Sequence, context: dict
+) -> dict[str, np.ndarray]:
+    """Score every registry metric of ``attribute`` through its kernel.
+
+    Runs on a fresh corpus index, through the same distinct-pair memo the
+    vectoriser uses, so companion columns come from the stash as in production.
+    """
+    view = CorpusIndex().view(attribute.name, attribute.separator)
+    left_ids = view.entry_ids(list(lefts))
+    right_ids = view.entry_ids(list(rights))
+    dedup = view.pair_dedup(left_ids, right_ids)
+    return {
+        spec.metric: view.memoized_scores(spec.metric, spec.batch_function, dedup, context)
+        for spec in metrics_for_attribute(attribute)
+    }

@@ -22,6 +22,7 @@ from repro.classifiers import (
     RandomForestClassifier,
     classifier_from_state,
 )
+from repro.compose import PipelineSpec, build_pipeline
 from repro.data import split_workload
 from repro.exceptions import NotFittedError, PersistenceError
 from repro.features.vectorizer import PairVectorizer
@@ -169,6 +170,26 @@ class TestPipelineRoundTrip:
         reloaded = restored.explain_pair(pair, top_k=3)
         assert [e.description for e in original] == [e.description for e in reloaded]
         assert [e.weight_share for e in original] == [e.weight_share for e in reloaded]
+
+    def test_two_fits_of_one_spec_save_byte_identical_files(self, fitted_pipeline, tmp_path):
+        # Nothing of the fit run (wall-clock timings) may reach a saved model:
+        # a refit of the same spec on the same data must save the same bytes.
+        # Both fits share this process's hash seed; CI refits in a new process.
+        _, split = fitted_pipeline
+        spec = PipelineSpec.from_dict({
+            "classifier": {"kind": "logistic", "params": {"epochs": 30}},
+            "risk_features": {"kind": "onesided_tree", "params": {"tree": {"max_depth": 2}}},
+            "training": {"epochs": 20},
+            "seed": 0,
+        })
+        first, second = (
+            save_pipeline(build_pipeline(spec).fit(split.train, split.validation), tmp_path / run)
+            for run in ("first", "second")
+        )
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_unfitted_pipeline_refuses_to_save(self, tmp_path):
         with pytest.raises(NotFittedError):

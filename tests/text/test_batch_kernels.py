@@ -1,14 +1,14 @@
-"""Batched metric kernels vs scalar metrics: bit-exact parity.
+"""Batched metric kernels vs the scalar oracle: bit-exact parity.
 
-Every registry metric with a batch kernel is compared column-for-column
-against its scalar function — the comparison is ``np.array_equal`` on the
-float bits, never an approximate one — over a pool of adversarial values
-(``None``, empties, whitespace-only, unicode, separators, numeric-looking
-strings, strings long enough to leave the int8 DP cells) and over
-hypothesis-drawn pairs.  The char kernels additionally run with a tiny cell
-budget to force their fallback branches, which must select identical
-matches, and the Monge-Elkan exact-token short-circuit is pinned against a
-full-scan reference.
+Every registry metric's kernel is compared column-for-column against its
+scalar definition in ``tests/metric_oracle.py`` — the comparison is
+``np.array_equal`` on the float bits, never an approximate one — over a pool
+of adversarial values (``None``, empties, whitespace-only, unicode,
+separators, numeric-looking strings, strings long enough to leave the int8
+DP cells) and over hypothesis-drawn pairs.  The char kernels additionally
+run with a tiny cell budget to force their fallback branches, which must
+select identical matches, and the Monge-Elkan exact-token short-circuit is
+pinned against a full-scan reference.
 """
 
 from __future__ import annotations
@@ -22,14 +22,16 @@ import repro.text.batch.chars as chars
 from repro.data.schema import Attribute, AttributeType
 from repro.features.metric_registry import metrics_for_attribute
 from repro.text.batch.chars import batched_char_trio
-from repro.text.batch.interner import CorpusIndex
-from repro.text.similarity import (
+from repro.text.tokenize import idf_weights, normalize, tokenize
+
+from metric_oracle import (
     jaro_winkler_similarity,
+    kernel_columns,
     lcs_length,
     levenshtein_distance,
     monge_elkan_similarity,
+    oracle_function,
 )
-from repro.text.tokenize import idf_weights, normalize, tokenize
 
 #: Values chosen to hit every edge branch: missing, empty-after-normalise,
 #: single chars, unicode, entity separators, numeric-looking text, repeated
@@ -54,27 +56,11 @@ ATTRIBUTES = [
 CONTEXT = {"idf": idf_weights(list(ADVERSARIAL))}
 
 
-def batched_columns(attribute, lefts, rights, context):
-    """Score every registry metric of ``attribute`` through its batch kernel."""
-    view = CorpusIndex().view(attribute.name, attribute.separator)
-    left_ids = view.entry_ids(list(lefts))
-    right_ids = view.entry_ids(list(rights))
-    dedup = view.pair_dedup(left_ids, right_ids)
-    columns = {}
-    for spec in metrics_for_attribute(attribute):
-        assert spec.batch_function is not None, f"{spec.name} lost its kernel"
-        columns[spec.metric] = view.memoized_scores(
-            spec.metric, spec.batch_function, dedup, context
-        )
-    return columns
-
-
 def assert_parity(attribute, lefts, rights, context):
-    columns = batched_columns(attribute, lefts, rights, context)
+    columns = kernel_columns(attribute, lefts, rights, context)
     for spec in metrics_for_attribute(attribute):
-        scalar = np.array(
-            [spec.function(left, right, context) for left, right in zip(lefts, rights)]
-        )
+        function = oracle_function(attribute, spec.metric)
+        scalar = np.array([function(left, right, context) for left, right in zip(lefts, rights)])
         assert np.array_equal(columns[spec.metric], scalar), spec.name
 
 

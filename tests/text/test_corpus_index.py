@@ -63,13 +63,14 @@ class TestInterning:
         view = text_view()
         view.entry_ids(VALUES)
         # Interning alone builds no tokenisations; the ensure_* builders do.
-        assert view.token_lists == []
+        assert view.token_set_columns()[0].size == 0
         view.ensure_tokens()
-        assert len(view.token_lists) == len(VALUES)
-        # And ensure_* is idempotent — a second call rebuilds nothing.
-        lists = view.token_lists
+        built = list(view.token_set_columns()[0])
+        assert len(built) == len(VALUES)
+        # And ensure_* is idempotent — a second call rebuilds and appends nothing.
         view.ensure_tokens()
-        assert view.token_lists is lists
+        assert len(view._token_set_arrays) == len(VALUES)
+        assert all(again is first for again, first in zip(view._token_set_arrays, built))
 
 
 class TestMemoisation:
@@ -127,9 +128,9 @@ class TestMemoisation:
         def kernel(*args):  # pragma: no cover - must not run
             raise AssertionError("companion columns must come from the stash")
 
-        # jaccard's kernel stashes the token-set companions, edit's kernel
+        # jaccard's kernel stashes its token-set companion, edit's kernel
         # stashes the char-DP companions — none may run a kernel again.
-        for companion in ("overlap", "dice", "lcs", "jaro_winkler"):
+        for companion in ("overlap", "lcs", "jaro_winkler"):
             view.memoized_scores(companion, kernel, dedup, {"idf": None})
 
 

@@ -1,28 +1,28 @@
-"""Unit tests for the difference metrics (Figure 5)."""
+"""Unit tests for the scalar definitions of the difference metrics (Figure 5).
+
+These pin the oracle in ``tests/metric_oracle.py`` to worked examples; the
+parity suites then hold every kernel to the oracle bit for bit.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.text.difference import (
+from metric_oracle import (
     abbr_non_prefix,
     abbr_non_substring,
-    abbr_non_suffix,
     diff_cardinality,
-    diff_key_token_count,
     diff_key_token_fraction,
-    distinct_entity_count,
     distinct_entity_fraction,
     non_prefix,
     non_substring,
-    non_suffix,
     numeric_difference,
     numeric_inequality,
 )
 
 ALL_DIFFERENCE_METRICS = [
-    non_substring, non_prefix, non_suffix,
-    abbr_non_substring, abbr_non_prefix, abbr_non_suffix,
+    non_substring, non_prefix,
+    abbr_non_substring, abbr_non_prefix,
     diff_cardinality, distinct_entity_fraction, diff_key_token_fraction,
 ]
 
@@ -40,17 +40,14 @@ class TestEntityNameDifferences:
         assert non_substring("VLDB Journal", "The VLDB Journal") == 0.0
         assert non_substring("SIGMOD", "ICDE") == 1.0
 
-    def test_prefix_and_suffix(self):
+    def test_prefix(self):
         assert non_prefix("data engineering", "data engineering bulletin") == 0.0
-        assert non_suffix("engineering bulletin", "data engineering bulletin") == 0.0
         assert non_prefix("alpha", "beta") == 1.0
-        assert non_suffix("alpha", "beta") == 1.0
 
     def test_abbreviation_matches_expanded_form(self):
         full = "Very Large Data Bases"
         assert abbr_non_substring(full, "VLDB") == 0.0
         assert abbr_non_prefix(full, "VLDB") == 0.0
-        assert abbr_non_suffix(full, "VLDB") == 0.0
 
     def test_different_abbreviations(self):
         assert abbr_non_substring("Management of Data", "Data Engineering") == 1.0
@@ -60,17 +57,17 @@ class TestEntitySetDifferences:
     def test_paper_example_distinct_entity(self):
         left = "T Brinkhoff, H Kriegel, R Schneider, B Seeger"
         right = "T Brinkhoff, H Kriegel, B Seeger"
-        assert distinct_entity_count(left, right) == 1.0
+        # One of the four authors appears in only one list.
+        assert distinct_entity_fraction(left, right) == 0.25
         assert diff_cardinality(left, right) == 1.0
 
     def test_identical_sets(self):
         value = "A Smith, B Jones"
-        assert distinct_entity_count(value, value) == 0.0
         assert diff_cardinality(value, value) == 0.0
         assert distinct_entity_fraction(value, value) == 0.0
 
     def test_order_insensitive(self):
-        assert distinct_entity_count("A Smith, B Jones", "B Jones, A Smith") == 0.0
+        assert distinct_entity_fraction("A Smith, B Jones", "B Jones, A Smith") == 0.0
 
     def test_fraction_bounded(self):
         assert 0.0 <= distinct_entity_fraction("A, B, C", "C, D") <= 1.0
@@ -79,20 +76,21 @@ class TestEntitySetDifferences:
 class TestTextDifferences:
     def test_shared_discriminating_tokens(self):
         value = "interpretable risk analysis framework"
-        assert diff_key_token_count(value, value) == 0.0
+        assert diff_key_token_fraction(value, value) == 0.0
 
     def test_exclusive_discriminating_token_counted(self):
         left = "panasonic lumix camera DMC123456"
         right = "panasonic lumix camera"
-        assert diff_key_token_count(left, right) >= 1.0
+        # dmc123456 is the one key token of four that only the left text has.
+        assert diff_key_token_fraction(left, right) == 0.25
 
     def test_short_and_numeric_tokens_ignored_without_idf(self):
-        assert diff_key_token_count("version 12", "version 13") == 0.0
+        assert diff_key_token_fraction("version 12", "version 13") == 0.0
 
     def test_idf_threshold_controls_key_tokens(self):
         idf = {"alpha": 5.0, "the": 0.1}
-        assert diff_key_token_count("alpha the", "the", idf=idf) == 1.0
-        assert diff_key_token_count("the", "the alpha", idf=idf, idf_threshold=10.0) == 0.0
+        assert diff_key_token_fraction("alpha the", "the", idf=idf) == 1.0
+        assert diff_key_token_fraction("the", "the alpha", idf=idf, idf_threshold=10.0) == 0.0
 
     def test_fraction_bounded(self):
         assert 0.0 <= diff_key_token_fraction("alpha beta gamma", "gamma delta") <= 1.0

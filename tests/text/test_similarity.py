@@ -1,12 +1,15 @@
-"""Unit tests for the string/numeric similarity metrics."""
+"""Unit tests for the scalar definitions of the similarity metrics.
+
+These pin the oracle in ``tests/metric_oracle.py`` to worked examples; the
+parity suites then hold every kernel to the oracle bit for bit.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.text.similarity import (
+from metric_oracle import (
     cosine_tfidf_similarity,
-    dice_similarity,
     edit_similarity,
     entity_jaccard_similarity,
     exact_match,
@@ -16,8 +19,7 @@ from repro.text.similarity import (
     lcs_similarity,
     levenshtein_distance,
     monge_elkan_similarity,
-    ngram_jaccard_similarity,
-    numeric_equality,
+    numeric_inequality,
     numeric_similarity,
     overlap_coefficient,
 )
@@ -30,8 +32,6 @@ ALL_STRING_METRICS = [
     lcs_similarity,
     jaccard_similarity,
     overlap_coefficient,
-    dice_similarity,
-    ngram_jaccard_similarity,
     monge_elkan_similarity,
     cosine_tfidf_similarity,
 ]
@@ -94,15 +94,6 @@ class TestTokenMetrics:
     def test_overlap_uses_smaller_set(self):
         assert overlap_coefficient("a b", "a b c d") == pytest.approx(1.0)
 
-    def test_dice(self):
-        assert dice_similarity("a b", "b c") == pytest.approx(2 * 1 / 4)
-
-    def test_ngram_jaccard_robust_to_typos(self):
-        clean = jaccard_similarity("panasonic", "panasonik")
-        fuzzy = ngram_jaccard_similarity("panasonic", "panasonik")
-        assert clean == 0.0
-        assert fuzzy > 0.4
-
     def test_monge_elkan_handles_token_reorder(self):
         assert monge_elkan_similarity("kriegel hans", "hans kriegel") == pytest.approx(1.0)
 
@@ -126,7 +117,7 @@ class TestEntityJaccard:
 class TestNumeric:
     def test_equal_values(self):
         assert numeric_similarity(10, 10) == 1.0
-        assert numeric_equality(10, 10.0) == 1.0
+        assert numeric_inequality(10, 10.0) == 0.0
 
     def test_relative_difference(self):
         assert numeric_similarity(100, 50) == pytest.approx(0.5)
@@ -134,8 +125,8 @@ class TestNumeric:
     def test_missing(self):
         assert numeric_similarity(None, None) == 1.0
         assert numeric_similarity(None, 5) == 0.0
-        assert numeric_equality("not a number", 5) == 0.0
+        assert numeric_similarity("not a number", 5) == 0.0
 
     def test_string_coercion(self):
         assert numeric_similarity("1998", "1998") == 1.0
-        assert numeric_equality("1998", 1999) == 0.0
+        assert numeric_inequality("1998", 1999) == 1.0

@@ -6,7 +6,6 @@ import math
 
 from repro.text.tokenize import (
     abbreviation,
-    character_ngrams,
     idf_weights,
     normalize,
     split_entity_set,
@@ -44,21 +43,6 @@ class TestTokenize:
         assert counts["base"] == 1
 
 
-class TestCharacterNgrams:
-    def test_length(self):
-        grams = character_ngrams("sigmod", n=3)
-        assert grams == ["sig", "igm", "gmo", "mod"]
-
-    def test_short_value_padded(self):
-        assert character_ngrams("ab", n=3) == ["ab#"]
-
-    def test_empty(self):
-        assert character_ngrams("", n=3) == []
-
-    def test_spaces_become_underscores(self):
-        assert "a_b" in character_ngrams("a b", n=3)
-
-
 class TestSplitEntitySet:
     def test_splits_and_normalises(self):
         names = split_entity_set("T Brinkhoff, H Kriegel,  B Seeger")
@@ -90,6 +74,11 @@ class TestIdfWeights:
 
     def test_empty_corpus(self):
         assert idf_weights([]) == {}
+
+    def test_table_is_keyed_in_sorted_order(self):
+        # Set order follows the per-process hash seed; a saved table must not.
+        weights = idf_weights(["zeta alpha mu", "beta omega alpha", "kappa delta"])
+        assert list(weights) == sorted(weights)
 
     def test_weights_positive(self):
         weights = idf_weights(["a b", "b c"])
