@@ -3,18 +3,20 @@
 The invariants are checked on the kernels that ship, scored through
 :func:`metric_oracle.kernel_columns` on every attribute type that emits the
 metric: every metric is bounded in [0, 1], symmetric similarities are
-symmetric, identity scores 1.0 (similarities) or 0.0 (differences), and the
-char kernel's Levenshtein distance is symmetric, zero on identity and
-satisfies the triangle inequality.
+symmetric, identity scores 1.0 (similarities) or 0.0 (differences), every
+metric follows the missing-value policy, and the char kernel's Levenshtein
+distance is symmetric, zero on identity and satisfies the triangle inequality.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.schema import Attribute, AttributeType
+from repro.features.metric_registry import SIMILARITY, metrics_for_attribute
 from repro.text.batch.chars import batched_char_trio
 
 from metric_oracle import kernel_columns
@@ -32,6 +34,16 @@ SYMMETRIC_SIMILARITIES = {"edit", "jaccard", "overlap", "lcs", "numeric_similari
 DIFFERENCES_ZERO_ON_IDENTITY = {
     "non_substring", "non_prefix", "diff_cardinality", "distinct_entity", "diff_key_token",
 }
+#: Emitted metric name -> its kind, over every attribute type.
+EMITTED_KINDS = {
+    spec.metric: spec.kind for attribute in ATTRIBUTES for spec in metrics_for_attribute(attribute)
+}
+
+#: Pairs with a missing side: both, right only, left only, and blank against
+#: empty and against a value (blanks normalise to missing). ``"1998"`` is a
+#: value for the string metrics and the numeric ones alike.
+MISSING_LEFTS = [None, "1998", None, "", "  "]
+MISSING_RIGHTS = [None, None, "1998", "  ", "1998"]
 
 
 def emitted_columns(lefts, rights, metrics=None):
@@ -84,6 +96,18 @@ def test_similarity_identity(value):
 def test_difference_identity_is_zero(value):
     for name, column in emitted_columns([value], [value], DIFFERENCES_ZERO_ON_IDENTITY).items():
         assert column[0] == 0.0, name
+
+
+@pytest.mark.parametrize("metric", sorted(EMITTED_KINDS))
+def test_missing_value_policy(metric):
+    """Similarities score 1.0 when both sides are missing and 0.0 when one is;
+    a missing side carries no difference evidence, so differences score 0.0."""
+    if EMITTED_KINDS[metric] == SIMILARITY:
+        expected = [1.0, 0.0, 0.0, 1.0, 0.0]
+    else:
+        expected = [0.0] * len(MISSING_LEFTS)
+    for name, column in emitted_columns(MISSING_LEFTS, MISSING_RIGHTS, {metric}).items():
+        assert column.tolist() == expected, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
