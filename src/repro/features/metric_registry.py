@@ -26,17 +26,12 @@ definition; a hand-built spec may instead carry a per-pair ``function``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable
 
 from ..data.schema import Attribute, AttributeType, Schema
 from ..exceptions import ConfigurationError
-from ..text.batch.kernels import BATCH_KERNELS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..text.batch.interner import AttributeView
+from ..text.batch.kernels import BATCH_KERNELS, BatchKernel
 
 #: A per-pair metric takes the two attribute values and a context dict
 #: (currently only ``idf``) and returns a float.
@@ -44,23 +39,6 @@ MetricFunction = Callable[[object, object, dict], float]
 
 SIMILARITY = "similarity"
 DIFFERENCE = "difference"
-
-
-class BatchMetricFunction(Protocol):
-    """The batched form of a metric: one call scores a whole column.
-
-    Instead of two raw values it receives the attribute's corpus-index view
-    (interned tokens, char codes, cached representations) plus the left/right
-    entry-id arrays of the batch, and returns the ``(batch,)`` float column.
-    """
-
-    def __call__(
-        self,
-        view: "AttributeView",
-        left_ids: np.ndarray,
-        right_ids: np.ndarray,
-        context: dict,
-    ) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -79,19 +57,21 @@ class MetricSpec:
         A per-pair :data:`MetricFunction`, for hand-built (custom) metrics;
         the vectoriser calls it once per pair.
     batch_function:
-        The batched kernel (see :class:`BatchMetricFunction`).  Registry
-        specs carry the kernel of their metric from
+        The batched kernel (see :data:`~repro.text.batch.kernels.BatchKernel`).
+        Registry specs carry the kernel of their metric from
         :data:`repro.text.batch.BATCH_KERNELS`; when present the vectoriser
         scores the column through it.
 
-    A spec needs at least one of the two callables.
+    A spec needs at least one of the two callables.  Both take part in
+    equality and hashing, so specs that carry different kernels compare
+    unequal.
     """
 
     attribute: str
     metric: str
     kind: str
     function: MetricFunction | None = None
-    batch_function: BatchMetricFunction | None = field(default=None, compare=False)
+    batch_function: BatchKernel | None = None
 
     def __post_init__(self) -> None:
         if self.function is None and self.batch_function is None:

@@ -15,7 +15,7 @@ column by column, calling a hand-built spec's per-pair function for metrics
 without a kernel (custom metrics).
 """
 
-from .chars import batched_jaro_winkler, batched_lcs_length, batched_levenshtein
+from .chars import batched_jaro_winkler
 from .interner import AttributeView, CorpusIndex, TokenInterner
 from .kernels import BATCH_KERNELS, BatchKernel
 
@@ -26,6 +26,4 @@ __all__ = [
     "CorpusIndex",
     "TokenInterner",
     "batched_jaro_winkler",
-    "batched_lcs_length",
-    "batched_levenshtein",
 ]

@@ -52,7 +52,11 @@ import numpy as np
 from .chars import batched_char_trio
 from .interner import AttributeView
 
-#: A batch kernel: (view, left entry ids, right entry ids, context) -> column.
+#: The batched form of a metric: one call scores a whole column.  Instead of
+#: two raw values it receives the attribute's corpus-index view (interned
+#: tokens, char codes, cached representations), the left/right entry-id
+#: arrays of the batch and the metric context dict, and returns the
+#: ``(batch,)`` float column.
 BatchKernel = Callable[[AttributeView, np.ndarray, np.ndarray, dict], np.ndarray]
 
 # --------------------------------------------------------------- preludes

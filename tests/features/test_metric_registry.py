@@ -71,6 +71,14 @@ class TestMetricSpec:
         with pytest.raises(ConfigurationError, match="title.nothing"):
             MetricSpec(attribute="title", metric="nothing", kind="similarity")
 
+    def test_kernel_takes_part_in_equality(self):
+        def spec(kernel):
+            return MetricSpec("title", "edit", SIMILARITY, batch_function=kernel)
+
+        assert spec(BATCH_KERNELS["edit"]) == spec(BATCH_KERNELS["edit"])
+        assert spec(BATCH_KERNELS["edit"]) != spec(BATCH_KERNELS["lcs"])
+        assert len({spec(BATCH_KERNELS["edit"]), spec(BATCH_KERNELS["lcs"])}) == 2
+
 
 class TestMetricsForSchema:
     def test_counts(self, paper_schema):

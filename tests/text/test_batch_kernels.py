@@ -8,10 +8,17 @@ separators, numeric-looking strings, strings long enough to leave the int8
 DP cells) and over hypothesis-drawn pairs.  The char kernels additionally
 run with a tiny cell budget to force their fallback branches, which must
 select identical matches, and the Monge-Elkan exact-token short-circuit is
-pinned against a full-scan reference.
+pinned against a full-scan reference.  The char trio's two kernels — the
+word kernel for calls with enough right strings that fit one ``uint64``
+word, the DP for the rest — are each held to the oracle and to one another
+on batches either side of the row threshold and of the one-word length, and
+the word kernel must beat the DP on a title-sized batch.
 """
 
 from __future__ import annotations
+
+import contextlib
+import time
 
 import numpy as np
 import pytest
@@ -96,21 +103,152 @@ def codes_of(string):
     return np.frombuffer(string.encode("utf-32-le"), dtype=np.int32).copy()
 
 
+@contextlib.contextmanager
+def word_kernel_rows():
+    """Row counts of the slices the word kernel scores inside the block."""
+    rows = []
+    original = chars._word_trio_slice
+
+    def spy(left, *rest):
+        rows.append(left.shape[0])
+        return original(left, *rest)
+
+    chars._word_trio_slice = spy
+    try:
+        yield rows
+    finally:
+        chars._word_trio_slice = original
+
+
+def char_trio(pairs):
+    """The trio of ``pairs`` (already normalised strings) in one call."""
+    return batched_char_trio([codes_of(a) for a, _ in pairs], [codes_of(b) for _, b in pairs])
+
+
+def assert_trio_parity(pairs):
+    """One call over ``pairs`` ≡ the oracle ≡ each pair scored alone (the DP)."""
+    batched = char_trio(pairs)
+    oracle = (
+        [levenshtein_distance(a, b) for a, b in pairs],
+        [lcs_length(a, b) for a, b in pairs],
+        [jaro_winkler_similarity(a, b) for a, b in pairs],
+    )
+    alone = [char_trio([pair]) for pair in pairs]
+    for column, (got, expected) in enumerate(zip(batched, oracle)):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got, [scores[column][0] for scores in alone])
+
+
+def one_word_rows(pairs):
+    return sum(len(right) <= chars.WORD_BITS for _, right in pairs)
+
+
 def test_char_trio_budget_fallback_parity(monkeypatch):
-    """A tiny cell budget forces the fallback branches; matches are identical."""
+    """A tiny cell budget forces the fallback branches; matches are identical.
+
+    At a budget of one cell every slice holds one row and the word kernel
+    builds its match words one left position at a time.
+    """
     values = [normalize(value) if value else "" for value in ADVERSARIAL]
     pairs = [(a, b) for a in values for b in values if a and b]
     lefts = [codes_of(a) for a, _ in pairs]
     rights = [codes_of(b) for _, b in pairs]
-    expected = batched_char_trio(lefts, rights)
-    monkeypatch.setattr(chars, "CELL_BUDGET", 1)
-    constrained = batched_char_trio(lefts, rights)
+    with word_kernel_rows() as word_rows:
+        expected = batched_char_trio(lefts, rights)
+        monkeypatch.setattr(chars, "CELL_BUDGET", 1)
+        constrained = batched_char_trio(lefts, rights)
+    fitting = one_word_rows(pairs)
+    assert word_rows == [fitting] + [1] * fitting
     for full, tiny in zip(expected, constrained):
         assert np.array_equal(full, tiny)
     for (a, b), lev, lcs, jw in zip(pairs, *constrained):
         assert lev == levenshtein_distance(a, b)
         assert lcs == lcs_length(a, b)
         assert jw == jaro_winkler_similarity(a, b)
+
+
+#: Few distinct characters, so windows hold several candidates and matches
+#: cross; two non-BMP code points; lengths drawn evenly up to 80, so right
+#: strings land either side of one word.
+trio_strings = st.integers(1, 80).flatmap(
+    lambda size: st.text(
+        alphabet=st.sampled_from(list("abcé ") + ["\U0001d538", "\U0001f600"]),
+        min_size=size,
+        max_size=size,
+    )
+).map(normalize).filter(bool)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pairs=st.lists(
+    st.tuples(trio_strings, trio_strings), min_size=1, max_size=chars.WORD_MIN_ROWS - 1
+))
+def test_char_trio_below_word_threshold(pairs):
+    """Calls too small for the word kernel stay on the DP, bit for bit."""
+    with word_kernel_rows() as word_rows:
+        assert_trio_parity(pairs)
+    assert word_rows == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pairs=st.lists(
+    st.tuples(trio_strings, trio_strings),
+    min_size=chars.WORD_MIN_ROWS,
+    max_size=4 * chars.WORD_MIN_ROWS,
+))
+def test_char_trio_above_word_threshold(pairs):
+    """Calls with enough one-word rows run them on the word kernel, bit for bit.
+
+    Every pair is also scored alone, and a one-pair call never reaches it.
+    """
+    with word_kernel_rows() as word_rows:
+        assert_trio_parity(pairs)
+    fitting = one_word_rows(pairs)
+    assert word_rows == ([fitting] if fitting >= chars.WORD_MIN_ROWS else [])
+
+
+#: Right lengths 63, 64 and 65, lefts past one word, non-BMP code points,
+#: single characters and runs of one character.
+BOUNDARY_VALUES = [
+    "a", "b", "\U0001f600", "ab" * 31 + "a", "ab" * 32, "ab" * 32 + "b", "ba" * 40,
+    "a" * 64, "a" * 65, "\U0001f600a" * 32, "\U0001d538" * 63 + "b", "b" + "a" * 100,
+    "the quick brown fox jumps over the lazy dog and keeps on running",
+]
+
+
+def test_char_trio_word_boundaries():
+    """Every boundary pair scores the same on the word kernel, the DP and the oracle."""
+    pairs = [(a, b) for a in BOUNDARY_VALUES for b in BOUNDARY_VALUES]
+    with word_kernel_rows() as word_rows:
+        assert_trio_parity(pairs)
+    assert word_rows == [one_word_rows(pairs)]
+
+
+def test_word_kernel_beats_the_dp_on_titles(monkeypatch):
+    """Best of 5 on 256 title-length rows: the word kernel reads ~3x the DP."""
+    rng = np.random.default_rng(0)
+    words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyz"), size=n))
+             for n in rng.integers(2, 10, size=400)]
+
+    def title(limit):
+        text = " ".join(rng.choice(words, size=12))
+        return text[: rng.integers(limit // 2, limit + 1)].strip()
+
+    lefts = [codes_of(title(96)) for _ in range(256)]
+    rights = [codes_of(title(chars.WORD_BITS)) for _ in range(256)]
+
+    def best_of_5():
+        runs = []
+        for _ in range(5):
+            start = time.perf_counter()
+            batched_char_trio(lefts, rights)
+            runs.append(time.perf_counter() - start)
+        return min(runs)
+
+    word = best_of_5()
+    monkeypatch.setattr(chars, "WORD_MIN_ROWS", len(lefts) + 1)
+    dp = best_of_5()
+    assert dp / word > 1.5
 
 
 # --------------------------------------------------- Monge-Elkan short-circuit
