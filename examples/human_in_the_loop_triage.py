@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import LearnRiskPipeline, load_dataset, split_workload
+from repro import PipelineSpec, build_pipeline, load_dataset, split_workload
 from repro.evaluation import f1_score
 from repro.evaluation.reporting import format_table
 
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"Amazon-Google analogue: {len(workload)} pairs, "
           f"test part {len(split.test)} pairs")
 
-    pipeline = LearnRiskPipeline(seed=0)
+    pipeline = build_pipeline(PipelineSpec(seed=0))
     pipeline.fit(split.train, split.validation)
     report = pipeline.analyse(split.test)
 

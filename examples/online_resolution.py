@@ -26,11 +26,10 @@ import tempfile
 from pathlib import Path
 
 from repro.blocking import GeneratedCorpus
-from repro.classifiers.logistic import LogisticRegressionClassifier
+from repro.compose import build_pipeline
 from repro.data.generators import GenerationConfig, generate_workload, make_generator
 from repro.data.workload import split_workload
 from repro.online import EventLog, OnlineResolver, ResolutionPolicy, replay_events
-from repro.pipeline import LearnRiskPipeline
 from repro.serve import RiskService
 
 
@@ -41,8 +40,8 @@ def fit_service(seed: int = 0) -> RiskService:
         "online-fit",
     )
     split = split_workload(workload, ratio=(3, 2, 5), seed=seed)
-    pipeline = LearnRiskPipeline(
-        classifier=LogisticRegressionClassifier(epochs=60, seed=seed), seed=seed
+    pipeline = build_pipeline(
+        {"classifier": {"kind": "logistic", "params": {"epochs": 60}}, "seed": seed}
     )
     pipeline.fit(split.train, split.validation)
     return RiskService(pipeline)

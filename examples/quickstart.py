@@ -5,7 +5,7 @@ analogue workload:
 
 1. build the workload and split it 3:2:5 into classifier-training /
    validation / test data (the validation data doubles as risk-training data);
-2. fit the :class:`repro.pipeline.LearnRiskPipeline` (classifier + risk
+2. build the default pipeline from its spec and fit it (classifier + risk
    features + learnable risk model);
 3. analyse the test part: every pair gets a machine label and a risk score;
 4. print the riskiest pairs together with the interpretable rules responsible.
@@ -17,7 +17,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import LearnRiskPipeline, load_dataset, split_workload
+from repro import PipelineSpec, build_pipeline, load_dataset, split_workload
 from repro.evaluation import recall_at_budget
 from repro.evaluation.roc import mislabel_indicator
 
@@ -33,7 +33,7 @@ def main() -> None:
           f"{len(split.test)} test pairs")
 
     print("\nTraining the matcher and the risk model ...")
-    pipeline = LearnRiskPipeline(seed=0)
+    pipeline = build_pipeline(PipelineSpec(seed=0))
     pipeline.fit(split.train, split.validation)
     print(f"  generated {len(pipeline.risk_features.rules)} interpretable risk rules")
 

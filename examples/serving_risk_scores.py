@@ -3,7 +3,7 @@
 The risk model of the paper is designed to sit in front of a production ER
 classifier and triage its output.  This example shows the full serving loop:
 
-1. fit a :class:`repro.pipeline.LearnRiskPipeline` and save it to disk as
+1. fit a pipeline built from its spec and save it to disk as
    JSON + npz (no pickle) with :func:`repro.serve.save_pipeline`;
 2. reload it — as a fresh process would — and verify the reloaded model
    reproduces the in-process risk scores exactly;
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import LearnRiskPipeline, load_dataset, split_workload
+from repro import PipelineSpec, build_pipeline, load_dataset, split_workload
 from repro.serve import ModelRegistry, RiskService, load_pipeline, save_pipeline
 
 
@@ -35,7 +35,7 @@ def main() -> None:
     split = split_workload(workload, ratio=(3, 2, 5), seed=0)
 
     print("Fitting the pipeline (classifier + risk rules + risk model) ...")
-    pipeline = LearnRiskPipeline(seed=0)
+    pipeline = build_pipeline(PipelineSpec(seed=0))
     pipeline.fit(split.train, split.validation)
     in_process_scores = pipeline.analyse(split.test).risk_scores
 
@@ -77,7 +77,7 @@ def main() -> None:
         print("\nHot-swapping a second model version through the registry ...")
         registry = ModelRegistry(max_batch_size=128)
         registry.load("ds", model_dir)
-        challenger = LearnRiskPipeline(risk_metric="expectation", seed=1)
+        challenger = build_pipeline(PipelineSpec(risk_metric="expectation", seed=1))
         challenger.fit(split.train, split.validation)
         registry.register("ds", challenger)  # becomes the active version
         print(f"  versions: {registry.versions('ds')}, "

@@ -32,7 +32,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-from repro import LearnRiskPipeline, load_dataset, split_workload
+from repro import PipelineSpec, build_pipeline, load_dataset, split_workload
 from repro.data import CsvPairSource, export_workload, import_workload
 from repro.serve import RiskService
 
@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  wrote {files}")
 
         print("\nFitting the pipeline on the labeled sample ...")
-        pipeline = LearnRiskPipeline(seed=0)
+        pipeline = build_pipeline(PipelineSpec(seed=0))
         pipeline.fit(split.train, split.validation)
 
         print("\nStreaming the full corpus: CSV in, scored CSV out ...")

@@ -9,11 +9,11 @@ figures.
 
 Quick start::
 
-    from repro import LearnRiskPipeline, load_dataset, split_workload
+    from repro import build_pipeline, load_dataset, split_workload
 
     workload = load_dataset("DS", scale=0.3)
     split = split_workload(workload, ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline().fit(split.train, split.validation)
+    pipeline = build_pipeline().fit(split.train, split.validation)
     report = pipeline.analyse(split.test, explain_top=5)
     print(report.auroc, report.top_risky(3))
 """
@@ -21,6 +21,7 @@ Quick start::
 from .compose import (
     ComponentSpec,
     PipelineSpec,
+    RiskReport,
     StagedPipeline,
     build_pipeline,
     register_classifier,
@@ -50,14 +51,12 @@ from .data import (
 )
 from .evaluation import (
     auroc_score,
-    run_comparative_experiment,
     run_holoclean_comparison,
     run_ood_experiment,
     run_scalability_experiment,
     run_sensitivity_experiment,
 )
 from .parallel import ChunkScores, ExecutionConfig, ParallelScoringEngine
-from .pipeline import LearnRiskPipeline, RiskReport
 from .risk import (
     GeneratedRiskFeatures,
     LearnRiskModel,
@@ -69,7 +68,6 @@ from .serve import (
     ModelRegistry,
     RiskService,
     load_pipeline,
-    load_staged_pipeline,
     save_pipeline,
 )
 
@@ -84,7 +82,6 @@ __all__ = [
     "GeneratorSource",
     "InMemorySource",
     "LearnRiskModel",
-    "LearnRiskPipeline",
     "MATCH",
     "ModelRegistry",
     "OneSidedTreeConfig",
@@ -107,7 +104,6 @@ __all__ = [
     "build_pipeline",
     "load_dataset",
     "load_pipeline",
-    "load_staged_pipeline",
     "register_classifier",
     "register_risk_feature_generator",
     "register_risk_metric",
@@ -116,7 +112,6 @@ __all__ = [
     "registered_classifiers",
     "registered_risk_metrics",
     "registered_sources",
-    "run_comparative_experiment",
     "run_holoclean_comparison",
     "run_ood_experiment",
     "run_scalability_experiment",

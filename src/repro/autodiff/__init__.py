@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy (TensorFlow substitute)."""
 
-from .optim import SGD, Adam, Optimizer, l1_penalty, l2_penalty
-from .tensor import Tensor, concatenate, parameter, stack_rows
+from .optim import SGD, Adam, Optimizer
+from .tensor import Tensor, concatenate, parameter
 
 __all__ = [
     "Adam",
@@ -9,8 +9,5 @@ __all__ = [
     "SGD",
     "Tensor",
     "concatenate",
-    "l1_penalty",
-    "l2_penalty",
     "parameter",
-    "stack_rows",
 ]

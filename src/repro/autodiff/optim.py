@@ -9,7 +9,7 @@ remaining a faithful "gradient descent on the ranking loss" procedure.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -105,25 +105,3 @@ class Adam(Optimizer):
             parameter.data = parameter.data - self.learning_rate * corrected_first / (
                 np.sqrt(corrected_second) + self.epsilon
             )
-
-
-def l2_penalty(parameters: Sequence[Tensor], strength: float) -> Tensor:
-    """Return the L2 regularisation term ``strength * Σ ||p||²`` as a scalar tensor."""
-    total: Tensor | None = None
-    for parameter in parameters:
-        term = (parameter * parameter).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total * strength
-
-
-def l1_penalty(parameters: Sequence[Tensor], strength: float) -> Tensor:
-    """Return the L1 regularisation term ``strength * Σ |p|`` as a scalar tensor."""
-    total: Tensor | None = None
-    for parameter in parameters:
-        term = parameter.abs().sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total * strength

@@ -345,14 +345,3 @@ def concatenate(tensors: Iterable[Tensor]) -> Tensor:
         return tuple(gradients)
 
     return Tensor(data, parents=tuple(tensor_list), backward_fn=backward_fn)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D tensor (rows), preserving gradients."""
-    tensor_list = [Tensor.as_tensor(tensor) for tensor in tensors]
-    data = np.stack([tensor.data for tensor in tensor_list], axis=0)
-
-    def backward_fn(gradient: np.ndarray) -> tuple[np.ndarray, ...]:
-        return tuple(gradient[index] for index in range(len(tensor_list)))
-
-    return Tensor(data, parents=tuple(tensor_list), backward_fn=backward_fn)

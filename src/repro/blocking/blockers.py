@@ -122,12 +122,6 @@ class Blocker(abc.ABC):
         wave = CorpusWave(left_table, right_table)
         return sorted(self.iter_wave_candidates(wave))
 
-    def pair_source(self, corpus: CorpusStream, **kwargs: Any):
-        """This blocker as a streaming :class:`~repro.data.sources.PairSource`."""
-        from .source import BlockingPairSource
-
-        return BlockingPairSource(corpus, [self], **kwargs)
-
 
 class IndexBlocker(Blocker):
     """A blocker that builds a per-wave :class:`BlockingIndex` over the right

@@ -245,8 +245,3 @@ class MinHashIndex(BlockingIndex):
         for band_index, band_key in enumerate(bands):
             matched.update(self._buckets.get((band_index, band_key), ()))
         return sorted(matched)
-
-    @property
-    def n_buckets(self) -> int:
-        """Number of occupied (band, signature) buckets."""
-        return len(self._buckets)

@@ -1,7 +1,6 @@
 """ER classifiers over the basic-metric feature matrix."""
 
 from .base import BaseClassifier, accuracy_score, classifier_from_state
-from .calibration import PlattCalibrator, expected_calibration_error
 from .ensemble import BootstrapEnsemble
 from .forest import LabelingRule, RandomForestClassifier, extract_labeling_rules
 from .logistic import LogisticRegressionClassifier
@@ -17,12 +16,10 @@ __all__ = [
     "LabelingRule",
     "LogisticRegressionClassifier",
     "MLPClassifier",
-    "PlattCalibrator",
     "RandomForestClassifier",
     "TreeNode",
     "accuracy_score",
     "classifier_from_state",
-    "expected_calibration_error",
     "extract_labeling_rules",
     "find_best_split",
     "gini_impurity",

@@ -24,8 +24,8 @@ Quick start::
     pipeline = build_pipeline(spec).fit(split.train, split.validation)
     report = pipeline.analyse(split.test)
 
-The classic :class:`repro.pipeline.LearnRiskPipeline` is a thin facade over
-:class:`StagedPipeline`, so everything here applies to it too.
+``repro.serve.load_pipeline`` loads a saved model back as a fitted
+:class:`StagedPipeline`, the one pipeline class.
 """
 
 from .registries import (

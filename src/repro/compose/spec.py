@@ -41,13 +41,29 @@ from .registries import (
     resolve_risk_metric,
 )
 
-#: Classifier params reproducing the legacy pipeline default
-#: (:func:`repro.evaluation.experiment.default_classifier_factory`).
+#: Params of the default classifier, the MLP that stands in for DeepMatcher.
+#: Its ``l2`` differs from :class:`~repro.classifiers.MLPClassifier`'s own
+#: default (1e-4), so ``{"kind": "mlp"}`` with no params is another classifier.
 DEFAULT_CLASSIFIER_PARAMS: dict[str, Any] = {
     "hidden_sizes": [32, 16],
     "epochs": 60,
     "l2": 1e-5,
 }
+
+
+def _sorted_keys(value: Any) -> Any:
+    """``value`` with the keys of every nested mapping sorted; lists keep their order.
+
+    Specs store their params this way, so the spec a model embeds in
+    ``state.json`` has the key order of its sorted ``spec.json`` sidecar
+    whatever order its source used, and a refit from that sidecar saves the
+    same bytes.
+    """
+    if isinstance(value, Mapping):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_sorted_keys(item) for item in value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,7 +81,7 @@ class ComponentSpec:
                 f"component {self.kind!r} params must be a mapping, "
                 f"got {type(self.params).__name__}"
             )
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", _sorted_keys(self.params))
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -215,7 +231,7 @@ class PipelineSpec:
                 f"training must be a mapping of TrainingConfig fields, "
                 f"got {type(self.training).__name__}"
             )
-        self.training = dict(self.training)
+        self.training = _sorted_keys(self.training)
         unknown = set(self.training) - _TRAINING_FIELDS
         if unknown:
             raise ConfigurationError(
@@ -235,8 +251,8 @@ class PipelineSpec:
 
         ``require_components=False`` skips the registry lookups of the three
         buildable components — used when pre-built component instances are
-        supplied (the legacy ``LearnRiskPipeline`` facade), where only the
-        risk metric and scalar fields must hold.
+        supplied (a loaded model, or the experiment harness's restricted
+        classifier), where only the risk metric and scalar fields must hold.
         """
         resolve_risk_metric(self.risk_metric)
         if require_components:

@@ -9,9 +9,8 @@ workflow into four explicit stages, each runnable (and re-runnable) on its own::
     pipeline.generate_risk_features(split.train)  # one-sided rules
     pipeline.fit_risk_model(split.validation)   # the learnable risk layer
 
-``fit(train, validation)`` runs all four in order and is bit-identical to the
-legacy :class:`~repro.pipeline.LearnRiskPipeline` path.  The staging is what
-makes incremental operation possible:
+``fit(train, validation)`` runs all four in order.  The staging is what makes
+incremental operation possible:
 
 * :meth:`refit_risk_model` re-trains only the (cheap) risk layer on fresh
   validation data while keeping the expensive classifier and rule set;
@@ -20,7 +19,9 @@ makes incremental operation possible:
 
 Construction is spec-driven (:func:`build_pipeline` resolves every component
 through the registries), but pre-built component instances can be injected for
-programmatic composition — the legacy facade uses exactly that hook.
+programmatic composition: :meth:`StagedPipeline.from_state` injects the loaded
+components, and the experiment harness (:mod:`repro.evaluation.experiment`)
+injects the paper's similarity-only classifier view.
 """
 
 from __future__ import annotations
@@ -76,18 +77,6 @@ class RiskReport:
         """The ``k`` riskiest pairs with their scores, most risky first."""
         top = self.ranking[:k]
         return [(self.pairs[int(index)], float(self.risk_scores[int(index)])) for index in top]
-
-
-@dataclass
-class _PipelineStateParts:
-    """The reconstructed pieces of a saved pipeline state (shared by loaders)."""
-
-    spec: PipelineSpec
-    classifier: BaseClassifier
-    training_config: TrainingConfig
-    tree_config: OneSidedTreeConfig | None
-    vectorizer: PairVectorizer
-    risk_model: LearnRiskModel
 
 
 class StagedPipeline:
@@ -227,7 +216,7 @@ class StagedPipeline:
 
     def fit(self, train: Workload, validation: Workload) -> "StagedPipeline":
         """Run all four stages: train the classifier on ``train`` and the risk
-        model on ``validation`` (bit-identical to the legacy monolithic fit)."""
+        model on ``validation``."""
         return (
             self.fit_vectorizer(train)
             .fit_classifier(train)
@@ -529,8 +518,8 @@ class StagedPipeline:
         })
 
     @classmethod
-    def _parts_from_state(cls, state: dict) -> _PipelineStateParts:
-        """Reconstruct the shared pieces of a saved pipeline state."""
+    def from_state(cls, state: dict) -> "StagedPipeline":
+        """Rebuild a fitted pipeline written by :meth:`to_state`."""
         state = require_state(state, cls.STATE_KIND, cls.STATE_VERSION)
         classifier = classifier_from_state(state_field(state, "classifier", cls.STATE_KIND))
         training_config = dataclass_from_dict(
@@ -559,62 +548,39 @@ class StagedPipeline:
                 training=asdict(training_config),
                 seed=int(state.get("seed", 0)),
             )
-        vectorizer = PairVectorizer.from_state(
-            state_field(state, "vectorizer", cls.STATE_KIND)
-        )
+        vectorizer = PairVectorizer.from_state(state_field(state, "vectorizer", cls.STATE_KIND))
         # Share the single loaded vectoriser with the risk features, mirroring
         # the object graph fit() builds.
         risk_model = LearnRiskModel.from_state(
             state_field(state, "risk_model", cls.STATE_KIND), vectorizer=vectorizer
         )
-        return _PipelineStateParts(
-            spec=spec,
-            classifier=classifier,
-            training_config=training_config,
-            tree_config=tree_config,
-            vectorizer=vectorizer,
-            risk_model=risk_model,
-        )
-
-    def _attach_fitted_state(self, parts: _PipelineStateParts) -> None:
-        """Wire the loaded fitted components into this pipeline."""
-        self.vectorizer = parts.vectorizer
-        self._vectorizer_injected = True
-        self.risk_model = parts.risk_model
-        self.risk_features = parts.risk_model.features
-        if parts.risk_model.config == self.training_config:
-            # fit() shares one TrainingConfig between pipeline and risk model;
-            # restore that sharing instead of keeping two equal copies.
-            parts.risk_model.config = self.training_config
-        self._fitted = True
-
-    @classmethod
-    def from_state(cls, state: dict) -> "StagedPipeline":
-        """Rebuild a fitted staged pipeline written by :meth:`to_state`."""
-        parts = cls._parts_from_state(state)
         try:
             generator = create_risk_feature_generator(
-                parts.spec.risk_features.kind,
-                parts.spec.risk_features.params,
-                parts.spec.seed,
+                spec.risk_features.kind, spec.risk_features.params, spec.seed
             )
         except ConfigurationError:
             # The spec names a generator that is not registered in this
             # process (a custom component, or a legacy state); fall back to
             # the stored tree config so loaded pipelines stay usable.
-            generator = RiskFeatureGenerator(tree_config=parts.tree_config)
+            generator = RiskFeatureGenerator(tree_config=tree_config)
         pipeline = cls(
-            parts.spec,
-            classifier=parts.classifier,
+            spec,
+            classifier=classifier,
             # Injecting the restored vectoriser also skips the registry lookup
             # of the spec's vectorizer kind: a model saved with a custom
             # vectoriser must load without that factory being re-registered
             # (the fitted instance is fully restored from state).
-            vectorizer=parts.vectorizer,
+            vectorizer=vectorizer,
             feature_generator=generator,
-            training_config=parts.training_config,
+            training_config=training_config,
         )
-        pipeline._attach_fitted_state(parts)
+        pipeline.risk_model = risk_model
+        pipeline.risk_features = risk_model.features
+        if risk_model.config == training_config:
+            # fit() shares one TrainingConfig between pipeline and risk model;
+            # restore that sharing instead of keeping two equal copies.
+            risk_model.config = training_config
+        pipeline._fitted = True
         return pipeline
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..text.tokenize import tokenize
-
 _KEYBOARD_NEIGHBOURS = {
     "a": "qs", "b": "vn", "c": "xv", "d": "sf", "e": "wr", "f": "dg", "g": "fh",
     "h": "gj", "i": "uo", "j": "hk", "k": "jl", "l": "k", "m": "n", "n": "bm",
@@ -230,11 +228,3 @@ class Corruptor:
         if self.profile.numeric_jitter > 0 and self.rng.random() < 0.5:
             value = float(value) * float(1.0 + self.rng.normal(0.0, self.profile.numeric_jitter))
         return value
-
-
-def token_vocabulary(values: list[str]) -> list[str]:
-    """Return the sorted vocabulary of tokens over a list of values (test helper)."""
-    vocabulary: set[str] = set()
-    for value in values:
-        vocabulary.update(tokenize(value))
-    return sorted(vocabulary)

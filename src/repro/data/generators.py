@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -563,8 +563,3 @@ def scale_config(config: GenerationConfig, scale: float) -> GenerationConfig:
         right_profile=config.right_profile,
         seed=config.seed,
     )
-
-
-def _sequence_or_default(value: Sequence[float] | None, default: Sequence[float]) -> Sequence[float]:
-    """Internal helper kept for API stability of older callers."""
-    return default if value is None else value

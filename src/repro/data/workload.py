@@ -185,11 +185,6 @@ class Workload:
             return len(self.left_table.schema)
         return 0
 
-    @property
-    def is_labeled(self) -> bool:
-        """``True`` when every pair carries ground truth (so :meth:`labels` works)."""
-        return all(pair.ground_truth is not None for pair in self.pairs)
-
     def match_rate(self) -> float:
         """The fraction of candidate pairs that are ground-truth matches."""
         if not self.pairs:

@@ -5,12 +5,9 @@ from .experiment import (
     LabeledSplit,
     MethodResult,
     PreparedExperiment,
-    default_classifier_factory,
     evaluate_scorers,
     harmonise_for_ood,
     prepare_experiment,
-    resolve_classifier,
-    run_comparative_experiment,
     run_holoclean_comparison,
     run_ood_experiment,
     run_scalability_experiment,
@@ -26,10 +23,8 @@ from .metrics import (
 )
 from .reporting import (
     format_auroc_map,
-    format_comparative_results,
     format_series,
     format_table,
-    summarise_result,
 )
 from .roc import RocCurve, auroc_score, mislabel_indicator, roc_curve
 
@@ -42,25 +37,20 @@ __all__ = [
     "RocCurve",
     "auroc_score",
     "confusion_matrix",
-    "default_classifier_factory",
     "evaluate_scorers",
     "f1_score",
     "format_auroc_map",
-    "format_comparative_results",
     "format_series",
     "format_table",
     "harmonise_for_ood",
     "mislabel_indicator",
     "precision_score",
     "prepare_experiment",
-    "resolve_classifier",
     "recall_at_budget",
     "recall_score",
     "roc_curve",
-    "run_comparative_experiment",
     "run_holoclean_comparison",
     "run_ood_experiment",
     "run_scalability_experiment",
     "run_sensitivity_experiment",
-    "summarise_result",
 ]

@@ -12,6 +12,11 @@ The harness mirrors the paper's experimental protocol:
 5. score the test part and compute ROC/AUROC against the true mislabeled
    indicator.
 
+Steps 2 and 3 run :class:`~repro.compose.staged.StagedPipeline`'s first three
+stages, the code that fits a served model, with the spec's decision threshold.
+The harness adds only the paper's similarity-only classifier view
+(:func:`restrict_classifier_view`), which it injects into the pipeline.
+
 On top of the core comparative run it provides the out-of-distribution
 protocol (Figure 10), the HoloClean comparison on sampled sub-workloads
 (Figure 11), the risk-training-size sensitivity study (Figure 12) and the
@@ -21,8 +26,8 @@ scalability measurements (Figure 13).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,7 +39,6 @@ from ..baselines import (
     default_scorers,
 )
 from ..classifiers.base import BaseClassifier
-from ..classifiers.mlp import MLPClassifier
 from ..classifiers.subset import ColumnSubsetClassifier
 from ..features.metric_registry import SIMILARITY
 from ..data.datasets import load_dataset
@@ -50,30 +54,8 @@ from ..risk.training import TrainingConfig
 from .metrics import f1_score
 from .roc import RocCurve, auroc_score, mislabel_indicator, roc_curve
 
-
-def default_classifier_factory(seed: int = 0) -> BaseClassifier:
-    """The machine classifier of record: an MLP over the basic metrics."""
-    return MLPClassifier(hidden_sizes=(32, 16), epochs=60, l2=1e-5, seed=seed)
-
-
-def resolve_classifier(
-    classifier: "BaseClassifier | str | dict | None", seed: int = 0
-) -> BaseClassifier | None:
-    """Accept a classifier instance, a registry key, or a component-spec dict.
-
-    Strings and ``{"kind": ..., "params": ...}`` mappings are resolved through
-    the :mod:`repro.compose` classifier registry, so experiment entry points
-    can be driven by the same declarative configuration as the pipelines.
-    ``None`` passes through (callers fall back to the default factory).
-    """
-    if classifier is None or isinstance(classifier, BaseClassifier):
-        return classifier
-    # Imported lazily: repro.compose imports this package for ROC helpers.
-    from ..compose.registries import create_classifier
-    from ..compose.spec import ComponentSpec
-
-    spec = ComponentSpec.coerce(classifier, "classifier")
-    return create_classifier(spec.kind, spec.params, seed)
+if TYPE_CHECKING:
+    from ..compose.staged import StagedPipeline
 
 
 def restrict_classifier_view(
@@ -181,13 +163,6 @@ class ExperimentResult:
         return max(self.methods.values(), key=lambda result: result.auroc).name
 
 
-def _label_split(split: LabeledSplit, classifier: BaseClassifier) -> None:
-    """Attach classifier probabilities and hard labels to a split."""
-    probabilities = classifier.predict_proba(split.features)
-    split.probabilities = probabilities
-    split.machine_labels = (probabilities >= 0.5).astype(int)
-
-
 def _resolve_workload(dataset: "str | Workload | PairSource", scale: float = 1.0) -> Workload:
     """Accept a dataset name, a workload, or a (bounded) pair source.
 
@@ -200,12 +175,90 @@ def _resolve_workload(dataset: "str | Workload | PairSource", scale: float = 1.0
     return as_workload(dataset)
 
 
+def _fit_training_stages(
+    train: Workload,
+    classifier: BaseClassifier | str | dict | None,
+    tree_config: OneSidedTreeConfig | None,
+    classifier_metric_kind: str | None,
+    seed: int,
+) -> "StagedPipeline":
+    """Fit the vectoriser, the classifier and the rules on a training workload.
+
+    These are :class:`~repro.compose.staged.StagedPipeline`'s first three
+    stages; the risk approaches take the place of the fourth.  A str or dict
+    ``classifier`` becomes the spec's classifier and ``None`` keeps the spec's
+    default MLP; an instance is injected as it is.  Either way the classifier
+    sees only the ``classifier_metric_kind`` metrics
+    (:func:`restrict_classifier_view`).
+    """
+    # Imported lazily: repro.compose imports this package for ROC helpers.
+    from ..compose.registries import create_classifier, create_vectorizer
+    from ..compose.spec import ComponentSpec, PipelineSpec
+    from ..compose.staged import StagedPipeline
+
+    if train.left_table is None:
+        raise DataError("the training workload has no source tables to fit the vectoriser on")
+    spec = PipelineSpec(
+        risk_features=ComponentSpec(
+            "onesided_tree", {} if tree_config is None else {"tree": asdict(tree_config)}
+        ),
+        seed=seed,
+    )
+    if not isinstance(classifier, BaseClassifier):
+        if classifier is not None:
+            spec.classifier = ComponentSpec.coerce(classifier, "classifier")
+        classifier = create_classifier(spec.classifier.kind, spec.classifier.params, seed)
+    vectorizer = create_vectorizer(
+        spec.vectorizer.kind, train.left_table.schema, spec.vectorizer.params
+    )
+    pipeline = StagedPipeline(
+        spec,
+        classifier=restrict_classifier_view(classifier, vectorizer, classifier_metric_kind),
+        vectorizer=vectorizer,
+    )
+    return pipeline.fit_vectorizer(train).fit_classifier(train).generate_risk_features(train)
+
+
+def _prepared_experiment(
+    dataset: str,
+    ratio: tuple[float, float, float],
+    pipeline: "StagedPipeline",
+    parts: tuple[Workload, Workload, Workload],
+    seed: int,
+) -> PreparedExperiment:
+    """Vectorize and label the (train, validation, test) parts with ``pipeline``."""
+
+    def labeled(part: Workload) -> LabeledSplit:
+        features = pipeline.vectorizer.transform(part.pairs)
+        probabilities, machine_labels = pipeline.classify_matrix(features)
+        return LabeledSplit(
+            workload=part,
+            features=features,
+            ground_truth=part.labels(),
+            probabilities=probabilities,
+            machine_labels=machine_labels,
+        )
+
+    train, validation, test = (labeled(part) for part in parts)
+    return PreparedExperiment(
+        dataset=dataset,
+        ratio=ratio,
+        vectorizer=pipeline.vectorizer,
+        classifier=pipeline.classifier,
+        train=train,
+        validation=validation,
+        test=test,
+        risk_features=pipeline.risk_features,
+        classifier_f1=f1_score(test.ground_truth, test.machine_labels),
+        seed=seed,
+    )
+
+
 def prepare_experiment(
     workload: Workload | PairSource,
     ratio: tuple[float, float, float] = (3, 2, 5),
     classifier: BaseClassifier | str | dict | None = None,
     tree_config: OneSidedTreeConfig | None = None,
-    vectorizer: PairVectorizer | None = None,
     classifier_metric_kind: str | None = SIMILARITY,
     seed: int = 0,
 ) -> PreparedExperiment:
@@ -216,45 +269,12 @@ def prepare_experiment(
     corpus), which is materialised for splitting.
     """
     workload = as_workload(workload)
-    if workload.left_table is None and vectorizer is None:
-        raise DataError("workload has no source tables and no vectorizer was supplied")
     split = split_workload(workload, ratio=ratio, seed=seed)
-    if vectorizer is None:
-        vectorizer = PairVectorizer(workload.left_table.schema)
-        vectorizer.fit_workload(workload)
-
-    def as_split(part: Workload) -> LabeledSplit:
-        return LabeledSplit(
-            workload=part,
-            features=vectorizer.transform(part.pairs),
-            ground_truth=part.labels(),
-        )
-
-    train = as_split(split.train)
-    validation = as_split(split.validation)
-    test = as_split(split.test)
-
-    classifier = resolve_classifier(classifier, seed) or default_classifier_factory(seed)
-    classifier = restrict_classifier_view(classifier, vectorizer, classifier_metric_kind)
-    classifier.fit(train.features, train.ground_truth)
-    for part in (train, validation, test):
-        _label_split(part, classifier)
-
-    generator = RiskFeatureGenerator(tree_config=tree_config)
-    risk_features = generator.generate(split.train, vectorizer=vectorizer)
-
-    classifier_f1 = f1_score(test.ground_truth, test.machine_labels)
-    return PreparedExperiment(
-        dataset=workload.name,
-        ratio=ratio,
-        vectorizer=vectorizer,
-        classifier=classifier,
-        train=train,
-        validation=validation,
-        test=test,
-        risk_features=risk_features,
-        classifier_f1=classifier_f1,
-        seed=seed,
+    pipeline = _fit_training_stages(
+        split.train, classifier, tree_config, classifier_metric_kind, seed
+    )
+    return _prepared_experiment(
+        workload.name, ratio, pipeline, (split.train, split.validation, split.test), seed
     )
 
 
@@ -295,23 +315,6 @@ def evaluate_scorers(
             score_seconds=score_seconds,
         )
     return result
-
-
-def run_comparative_experiment(
-    dataset: str | Workload | PairSource,
-    ratio: tuple[float, float, float] = (3, 2, 5),
-    scale: float = 1.0,
-    scorers: Sequence[BaseRiskScorer] | None = None,
-    classifier: BaseClassifier | str | dict | None = None,
-    tree_config: OneSidedTreeConfig | None = None,
-    seed: int = 0,
-) -> ExperimentResult:
-    """One panel of Figure 9: a dataset, a split ratio, all five approaches."""
-    workload = _resolve_workload(dataset, scale)
-    prepared = prepare_experiment(
-        workload, ratio=ratio, classifier=classifier, tree_config=tree_config, seed=seed
-    )
-    return evaluate_scorers(prepared, scorers=scorers)
 
 
 # --------------------------------------------------------------------------- OOD
@@ -396,50 +399,18 @@ def run_ood_experiment(
     """
     source = _resolve_workload(source_dataset, scale)
     target = _resolve_workload(target_dataset, scale)
-    source, target, schema = harmonise_for_ood(source, target, rename_source)
-
-    vectorizer = PairVectorizer(schema)
-    vectorizer.fit(source.left_table, source.right_table)
-
+    source, target, _ = harmonise_for_ood(source, target, rename_source)
     source_split = split_workload(source, ratio=(3, 2, 5), seed=seed)
-    train = LabeledSplit(
-        workload=source_split.train,
-        features=vectorizer.transform(source_split.train.pairs),
-        ground_truth=source_split.train.labels(),
+    pipeline = _fit_training_stages(
+        source_split.train, classifier, tree_config, classifier_metric_kind, seed
     )
-    classifier = resolve_classifier(classifier, seed) or default_classifier_factory(seed)
-    classifier = restrict_classifier_view(classifier, vectorizer, classifier_metric_kind)
-    classifier.fit(train.features, train.ground_truth)
-    _label_split(train, classifier)
-
     target_split = split_workload(target, ratio=target_ratio, seed=seed + 1)
-    validation = LabeledSplit(
-        workload=target_split.validation,
-        features=vectorizer.transform(target_split.validation.pairs),
-        ground_truth=target_split.validation.labels(),
-    )
-    test = LabeledSplit(
-        workload=target_split.test,
-        features=vectorizer.transform(target_split.test.pairs),
-        ground_truth=target_split.test.labels(),
-    )
-    _label_split(validation, classifier)
-    _label_split(test, classifier)
-
-    generator = RiskFeatureGenerator(tree_config=tree_config)
-    risk_features = generator.generate(source_split.train, vectorizer=vectorizer)
-
-    prepared = PreparedExperiment(
-        dataset=f"{source.name}2{target.name}",
-        ratio=target_ratio,
-        vectorizer=vectorizer,
-        classifier=classifier,
-        train=train,
-        validation=validation,
-        test=test,
-        risk_features=risk_features,
-        classifier_f1=f1_score(test.ground_truth, test.machine_labels),
-        seed=seed,
+    prepared = _prepared_experiment(
+        f"{source.name}2{target.name}",
+        target_ratio,
+        pipeline,
+        (source_split.train, target_split.validation, target_split.test),
+        seed,
     )
     return evaluate_scorers(prepared, scorers=scorers)
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .experiment import ExperimentResult
-
 
 def format_table(
     headers: Sequence[str], rows: Sequence[Sequence[object]], float_precision: int = 3
@@ -37,22 +35,6 @@ def format_table(
     return "\n".join([line, separator, *body])
 
 
-def format_comparative_results(results: Sequence[ExperimentResult]) -> str:
-    """Figure-9 style table: one row per (dataset, ratio), one column per approach."""
-    if not results:
-        return "(no results)"
-    method_names = list(results[0].methods)
-    headers = ["dataset", "ratio", "classifier F1", "mislabel rate", *method_names]
-    rows = []
-    for result in results:
-        ratio = ":".join(str(int(round(part * 10))) for part in result.ratio) \
-            if max(result.ratio) <= 1 else ":".join(str(int(part)) for part in result.ratio)
-        row: list[object] = [result.dataset, ratio, result.classifier_f1, result.test_mislabel_rate]
-        row.extend(result.methods[name].auroc for name in method_names)
-        rows.append(row)
-    return format_table(headers, rows)
-
-
 def format_auroc_map(title: str, aurocs: Mapping[str, float]) -> str:
     """Small two-column table of approach → AUROC."""
     rows = [[name, value] for name, value in aurocs.items()]
@@ -63,17 +45,3 @@ def format_series(title: str, series: Mapping[object, float], value_name: str = 
     """One-parameter sweep (sensitivity, scalability) as a two-column table."""
     rows = [[str(key), value] for key, value in series.items()]
     return f"{title}\n" + format_table(["parameter", value_name], rows)
-
-
-def summarise_result(result: ExperimentResult) -> dict[str, object]:
-    """Flatten an :class:`ExperimentResult` into a plain dict (for EXPERIMENTS.md)."""
-    summary: dict[str, object] = {
-        "dataset": result.dataset,
-        "ratio": result.ratio,
-        "classifier_f1": round(result.classifier_f1, 3),
-        "test_mislabel_rate": round(result.test_mislabel_rate, 4),
-        "n_rules": result.n_rules,
-    }
-    for name, method in result.methods.items():
-        summary[f"auroc_{name}"] = round(method.auroc, 3)
-    return summary

@@ -6,6 +6,9 @@ the true-positive rate against the false-positive rate as the score threshold
 sweeps.  AUROC is the probability that a randomly chosen mislabeled pair is
 scored higher than a randomly chosen correctly labeled pair — the paper's
 headline metric.  Implemented from scratch (no scikit-learn available).
+:func:`auroc_score`, the rank form, lives in :mod:`repro.numerics` and is
+re-exported here; :attr:`RocCurve.auroc` integrates the curve instead and can
+differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DataError
+from ..numerics import auroc_score  # noqa: F401 — the one rank AUROC, re-exported
 
 
 @dataclass(frozen=True)
@@ -69,35 +73,6 @@ def roc_curve(labels: np.ndarray, scores: np.ndarray) -> RocCurve:
     false_positive_rate = np.concatenate([[0.0], cumulative_negatives / total_negatives])
     thresholds = np.concatenate([[np.inf], sorted_scores[threshold_indices]])
     return RocCurve(false_positive_rate, true_positive_rate, thresholds)
-
-
-def auroc_score(labels: np.ndarray, scores: np.ndarray) -> float:
-    """AUROC computed by the rank (Mann–Whitney U) formulation with tie handling."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    if labels.shape != scores.shape:
-        raise DataError("labels and scores must have the same shape")
-    total_positives = int(labels.sum())
-    total_negatives = len(labels) - total_positives
-    if total_positives == 0 or total_negatives == 0:
-        raise DataError("AUROC requires at least one positive and one negative example")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=float)
-    sorted_scores = scores[order]
-    # Average ranks over ties so tied scores contribute 0.5.
-    ranks[order] = np.arange(1, len(scores) + 1, dtype=float)
-    position = 0
-    while position < len(sorted_scores):
-        end = position
-        while end + 1 < len(sorted_scores) and sorted_scores[end + 1] == sorted_scores[position]:
-            end += 1
-        if end > position:
-            tied_indices = order[position:end + 1]
-            ranks[tied_indices] = float(position + end + 2) / 2.0
-        position = end + 1
-    positive_rank_sum = float(ranks[labels == 1].sum())
-    u_statistic = positive_rank_sum - total_positives * (total_positives + 1) / 2.0
-    return u_statistic / (total_positives * total_negatives)
 
 
 def mislabel_indicator(machine_labels: np.ndarray, ground_truth: np.ndarray) -> np.ndarray:

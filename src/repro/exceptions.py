@@ -36,7 +36,3 @@ class ConfigurationError(ReproError, ValueError):
 
 class PersistenceError(ReproError):
     """A saved model state is missing, corrupted or version-incompatible."""
-
-
-class ConvergenceWarning(UserWarning):
-    """An iterative procedure stopped before reaching its convergence target."""

@@ -25,13 +25,19 @@ Every per-row matrix product on the scoring hot path (classifier forward
 pass, portfolio aggregation) goes through these helpers; training keeps plain
 BLAS matmuls, where raw throughput matters and batch invariance does not.
 
-This module deliberately depends only on numpy so any layer can use it without
-import cycles.
+The module also holds the one rank AUROC (:func:`auroc_score`): the
+evaluation harness, pipeline reports and the risk model's best-epoch
+selection all rank through it.
+
+This module deliberately depends only on numpy and :mod:`repro.exceptions`, so
+any layer can use it without import cycles.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .exceptions import DataError
 
 
 def batch_invariant_matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
@@ -51,3 +57,42 @@ def batch_invariant_matmul(matrix: np.ndarray, weights: np.ndarray) -> np.ndarra
     the chunked and eager paths).
     """
     return np.einsum("ij,jk->ik", np.ascontiguousarray(matrix), weights)
+
+
+def auroc_score(labels: np.ndarray, scores: np.ndarray) -> float:
+    """AUROC by the rank (Mann–Whitney U) formulation, ties averaged.
+
+    Tied scores share the mean of their ordinal ranks, so a tie between a
+    positive and a negative counts 0.5.  Tie groups are the contiguous runs
+    of the sorted scores; their ordinal ranks are consecutive integers (exact
+    in float64), so one segmented ``reduceat`` sum per group gives each
+    group's mean rank.  All NaN scores form one tie group, sorted above every
+    number.
+
+    Raises
+    ------
+    DataError
+        When the shapes differ, or the labels hold only one class.
+    """
+    labels = np.asarray(labels, dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    if labels.shape != scores.shape:
+        raise DataError("labels and scores must have the same shape")
+    positives = int(labels.sum())
+    negatives = len(labels) - positives
+    if positives == 0 or negatives == 0:
+        raise DataError("AUROC requires at least one positive and one negative example")
+    n_scores = len(scores)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    # A new group starts where the sorted value changes; adjacent NaNs
+    # (NaN != NaN) do not open one.
+    changed = sorted_scores[1:] != sorted_scores[:-1]
+    changed &= ~(np.isnan(sorted_scores[1:]) & np.isnan(sorted_scores[:-1]))
+    group_starts = np.flatnonzero(np.r_[True, changed])
+    group_sums = np.add.reduceat(np.arange(1, n_scores + 1, dtype=float), group_starts)
+    group_counts = np.diff(np.append(group_starts, n_scores))
+    ranks = np.empty(n_scores, dtype=float)
+    ranks[order] = np.repeat(group_sums / group_counts, group_counts)
+    u_statistic = float(ranks[labels == 1].sum()) - positives * (positives + 1) / 2.0
+    return u_statistic / (positives * negatives)

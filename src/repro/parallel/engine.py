@@ -107,9 +107,9 @@ class ParallelScoringEngine:
     Parameters
     ----------
     pipeline:
-        A fitted :class:`~repro.compose.staged.StagedPipeline` (or facade
-        subclass).  The engine snapshots its picklable state at construction;
-        later mutations of the parent pipeline do not reach the workers.
+        A fitted :class:`~repro.compose.staged.StagedPipeline`.  The engine
+        snapshots its picklable state at construction; later mutations of
+        the parent pipeline do not reach the workers.
     config:
         The :class:`ExecutionConfig` describing the pool.
 

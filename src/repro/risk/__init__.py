@@ -3,9 +3,7 @@
 from .distributions import (
     NormalDistribution,
     beta_to_normal,
-    equivalence_sample_expectation,
     normal_quantile,
-    truncated_normal_mean,
     truncated_normal_quantile,
 )
 from .engine import RuleKernel
@@ -66,7 +64,6 @@ __all__ = [
     "beta_to_normal",
     "conditional_value_at_risk",
     "deduplicate_rules",
-    "equivalence_sample_expectation",
     "estimate_expectations",
     "expectation_risk",
     "feature_contributions",
@@ -79,7 +76,6 @@ __all__ = [
     "remove_redundant_rules",
     "resolve_risk_metric",
     "sample_ranking_pairs",
-    "truncated_normal_mean",
     "truncated_normal_quantile",
     "value_at_risk",
 ]

@@ -92,29 +92,3 @@ def truncated_normal_quantile(
         probabilities = np.clip(probabilities, 1e-12, 1.0 - 1e-12)
         result[positive] = mu + sigma * special.ndtri(probabilities)
     return np.clip(result, lower, upper)
-
-
-def truncated_normal_mean(
-    means: np.ndarray, stds: np.ndarray, lower: float = 0.0, upper: float = 1.0
-) -> np.ndarray:
-    """Mean of normals truncated to ``[lower, upper]`` (used by diagnostics)."""
-    means = np.asarray(means, dtype=float)
-    stds = np.asarray(stds, dtype=float)
-    result = np.clip(means, lower, upper)
-    positive = stds > 1e-12
-    if np.any(positive):
-        mu = means[positive]
-        sigma = stds[positive]
-        alpha = (lower - mu) / sigma
-        beta = (upper - mu) / sigma
-        denominator = np.maximum(stats.norm.cdf(beta) - stats.norm.cdf(alpha), 1e-12)
-        adjustment = (stats.norm.pdf(alpha) - stats.norm.pdf(beta)) / denominator
-        result[positive] = mu + sigma * adjustment
-    return np.clip(result, lower, upper)
-
-
-def equivalence_sample_expectation(matches: int, total: int, smoothing: float = 1.0) -> float:
-    """Laplace-smoothed expectation ``(m + s) / (n + 2s)`` used for rule priors."""
-    if total < 0 or matches < 0 or matches > total:
-        raise ConfigurationError("invalid match/total counts")
-    return (matches + smoothing) / (total + 2.0 * smoothing)

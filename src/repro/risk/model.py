@@ -11,7 +11,7 @@ mislabeling loss.  The feature weights, feature variances (via relative
 standard deviations) and the classifier-output influence function are learned
 on validation data with a pairwise learning-to-rank loss.
 
-Typical usage (array level; see :mod:`repro.pipeline` for the workload level)::
+Typical usage (array level; see :mod:`repro.compose.staged` for the workload level)::
 
     features = RiskFeatureGenerator().generate(train_workload)
     model = LearnRiskModel(features)

@@ -20,6 +20,7 @@ from scipy import stats
 
 from ..autodiff import SGD, Adam, Tensor
 from ..exceptions import ConfigurationError
+from ..numerics import auroc_score
 from ..serialization import as_float_array, component_state, require_state, state_field
 
 _SOFTPLUS_EPS = 1e-6
@@ -187,37 +188,6 @@ class TrainingResult:
         )
 
 
-def _rank_auroc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """Tie-aware AUROC used for best-epoch selection (local copy to avoid import cycles)."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    positives = int(labels.sum())
-    negatives = len(labels) - positives
-    if positives == 0 or negatives == 0:
-        return float("nan")
-    # Average ranks over ties in one sorted reduceat pass: tie groups are
-    # contiguous runs in the sorted order, their ordinal ranks are consecutive
-    # integers (exactly representable in float64), so the segmented sum /
-    # count reproduces the per-group mean bit-for-bit without the legacy
-    # O(unique * n) per-value mask loop.
-    n_scores = len(scores)
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # A new group starts where the sorted value changes; adjacent NaNs do not
-    # open one (NaN != NaN is True, but np.unique — the legacy tie grouping —
-    # treats all NaNs as one tie group, and argsort sorts them to the end).
-    changed = sorted_scores[1:] != sorted_scores[:-1]
-    changed &= ~(np.isnan(sorted_scores[1:]) & np.isnan(sorted_scores[:-1]))
-    group_starts = np.flatnonzero(np.r_[True, changed])
-    ordinal_ranks = np.arange(1, n_scores + 1, dtype=float)
-    group_sums = np.add.reduceat(ordinal_ranks, group_starts)
-    group_counts = np.diff(np.append(group_starts, n_scores))
-    ranks = np.empty(n_scores, dtype=float)
-    ranks[order] = np.repeat(group_sums / group_counts, group_counts)
-    u_statistic = float(ranks[labels == 1].sum()) - positives * (positives + 1) / 2.0
-    return u_statistic / (positives * negatives)
-
-
 def output_bin_matrix(probabilities: np.ndarray, n_bins: int) -> np.ndarray:
     """One-hot ``(n_pairs, n_bins)`` matrix assigning each classifier output to a bin."""
     probabilities = np.asarray(probabilities, dtype=float)
@@ -379,7 +349,8 @@ class RiskModelTrainer:
                 parameters, membership, rule_means, output_probabilities,
                 output_bins, machine_labels, self.config.theta,
             ).numpy()
-            return _rank_auroc(risk_labels[holdout_indices], gamma[holdout_indices])
+            # _split_holdout only returns a holdout holding both classes.
+            return auroc_score(risk_labels[holdout_indices], gamma[holdout_indices])
 
         best_snapshot = parameters.snapshot()
         best_auroc = holdout_auroc()

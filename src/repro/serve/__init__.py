@@ -1,7 +1,7 @@
 """Model persistence and the batched risk-scoring service layer.
 
-This package turns a fitted :class:`~repro.pipeline.LearnRiskPipeline` from a
-single-process object into an operable model:
+This package turns a fitted :class:`~repro.compose.staged.StagedPipeline` from
+a single-process object into an operable model:
 
 * :mod:`repro.serve.persistence` — save/load fitted pipelines as JSON + npz
   (pickle-free, bit-exact round trips);
@@ -18,11 +18,11 @@ single-process object into an operable model:
 
 Quick start::
 
-    from repro import LearnRiskPipeline, load_dataset, split_workload
+    from repro import build_pipeline, load_dataset, split_workload
     from repro.serve import RiskService, load_pipeline, save_pipeline
 
     split = split_workload(load_dataset("DS", scale=0.3), ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline().fit(split.train, split.validation)
+    pipeline = build_pipeline().fit(split.train, split.validation)
     save_pipeline(pipeline, "models/ds-v1")
 
     service = RiskService(load_pipeline("models/ds-v1"))
@@ -32,7 +32,6 @@ Quick start::
 
 from .persistence import (
     load_pipeline,
-    load_staged_pipeline,
     load_state,
     save_pipeline,
     save_state,
@@ -46,7 +45,6 @@ __all__ = [
     "ScoredPair",
     "ServiceStats",
     "load_pipeline",
-    "load_staged_pipeline",
     "load_state",
     "pair_key",
     "save_pipeline",

@@ -10,10 +10,12 @@ The subcommands cover the model lifecycle:
     declaratively with ``--spec spec.json`` — a
     :meth:`repro.compose.PipelineSpec.to_json` document assembled through the
     component registries, which is also how custom registered components are
-    reached from the command line.  When the spec names a data backend
-    (``source``) and no ``--dataset``/``--data-dir`` is given, the training
-    workload comes from that backend — including the ``"blocked"`` backend,
-    which blocks raw tables on the fly.
+    reached from the command line.  The flags are turned into the spec they
+    describe, so both build through :func:`~repro.compose.build_pipeline`, and
+    a model's saved ``spec.json`` refits it byte for byte.  When the spec
+    names a data backend (``source``) and no ``--dataset``/``--data-dir`` is
+    given, the training workload comes from that backend — including the
+    ``"blocked"`` backend, which blocks raw tables on the fly.
 ``block``
     Run the streaming blocking layer on its own: raw record tables in
     (``--data-dir`` CSV layout, a built-in ``--dataset``, or a generated
@@ -92,11 +94,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..classifiers.base import BaseClassifier
 from ..compose import (
     PipelineSpec,
     build_pipeline,
-    create_classifier,
     registered_classifiers,
     registered_risk_metrics,
 )
@@ -108,18 +108,8 @@ from ..data.workload import Workload
 from ..evaluation.roc import auroc_score, mislabel_indicator
 from ..exceptions import DataError, ReproError
 from ..obs import MetricsRegistry, use_recorder
-from ..pipeline import LearnRiskPipeline
-from ..risk.onesided_tree import OneSidedTreeConfig
-from ..risk.training import TrainingConfig
-from .persistence import load_pipeline, load_state, save_pipeline
+from .persistence import load_pipeline, save_pipeline
 from .service import RiskService
-
-
-def _build_classifier(kind: str, seed: int, epochs: int | None) -> BaseClassifier:
-    params: dict[str, object] = {}
-    if epochs is not None and kind in ("mlp", "logistic"):
-        params["epochs"] = epochs
-    return create_classifier(kind, params, seed=seed)
 
 
 def _load_schema(path: str) -> Schema:
@@ -166,32 +156,44 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
 
 
 # --------------------------------------------------------------------- commands
-def _cmd_fit(args: argparse.Namespace) -> int:
-    if args.spec:
-        # Parse and validate the spec before the (slow) workload load so a
-        # typo in a config file fails immediately.
-        spec = PipelineSpec.from_json(Path(args.spec).read_text())
-        pipeline = build_pipeline(spec)
-        if not args.dataset and not args.data_dir and spec.source is not None:
-            # No workload flags: train from the spec's own data backend
-            # (e.g. a "blocked" source streaming candidates from raw tables).
-            from ..compose.registries import create_source
+def _spec_from_flags(args: argparse.Namespace) -> PipelineSpec:
+    """The spec a user would write for ``fit``'s per-field flags.
 
-            source = create_source(spec.source.kind, spec.source.params, spec.seed)
-            workload = source.materialize()
-        else:
-            workload = _load_workload(args)
-        split = split_workload(workload, ratio=args.ratio, seed=spec.seed)
+    ``--epochs`` reaches only the classifiers that train by epochs; with no
+    ``--epochs`` the classifier keeps its own constructor defaults.
+    """
+    classifier_params = {}
+    if args.epochs is not None and args.classifier in ("mlp", "logistic"):
+        classifier_params["epochs"] = args.epochs
+    return PipelineSpec(
+        classifier={"kind": args.classifier, "params": classifier_params},
+        risk_features={
+            "kind": "onesided_tree", "params": {"tree": {"max_depth": args.rule_depth}}
+        },
+        risk_metric=args.risk_metric,
+        training={"epochs": args.risk_epochs},
+        seed=args.seed,
+    )
+
+
+def _cmd_fit(args: argparse.Namespace) -> int:
+    # Parse and validate the spec before the (slow) workload load so a typo
+    # in a config file fails immediately.
+    if args.spec:
+        spec = PipelineSpec.from_json(Path(args.spec).read_text())
+    else:
+        spec = _spec_from_flags(args)
+    pipeline = build_pipeline(spec)
+    if not args.dataset and not args.data_dir and spec.source is not None:
+        # No workload flags: train from the spec's own data backend
+        # (e.g. a "blocked" source streaming candidates from raw tables).
+        from ..compose.registries import create_source
+
+        source = create_source(spec.source.kind, spec.source.params, spec.seed)
+        workload = source.materialize()
     else:
         workload = _load_workload(args)
-        split = split_workload(workload, ratio=args.ratio, seed=args.seed)
-        pipeline = LearnRiskPipeline(
-            classifier=_build_classifier(args.classifier, args.seed, args.epochs),
-            tree_config=OneSidedTreeConfig(max_depth=args.rule_depth),
-            training_config=TrainingConfig(epochs=args.risk_epochs, seed=args.seed),
-            risk_metric=args.risk_metric,
-            seed=args.seed,
-        )
+    split = split_workload(workload, ratio=args.ratio, seed=spec.seed)
     print(
         f"fitting on {len(split.train)} training / {len(split.validation)} validation pairs "
         f"({workload.name})..."
@@ -628,18 +630,17 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    state = load_state(args.model)
+    pipeline = load_pipeline(args.model)
     manifest = json.loads((Path(args.model) / "manifest.json").read_text())
     print(f"model directory: {args.model}")
     print(f"  kind: {manifest.get('kind')}  format: v{manifest.get('format_version')}  "
           f"written by repro {manifest.get('library_version')}")
-    pipeline = LearnRiskPipeline.from_state(state)
     schema = pipeline.vectorizer.schema
     print(f"  schema: {', '.join(f'{a.name}:{a.attr_type.value}' for a in schema)}")
     print(f"  metrics: {pipeline.vectorizer.n_features}")
     print(f"  classifier: {type(pipeline.classifier).__name__}")
     print(f"  risk rules: {len(pipeline.risk_features.rules)}  "
-          f"risk metric: {pipeline.risk_metric}  "
+          f"risk metric: {pipeline.spec.risk_metric}  "
           f"decision threshold: {pipeline.decision_threshold}")
     print(f"  spec: classifier={pipeline.spec.classifier.kind!r} "
           f"vectorizer={pipeline.spec.vectorizer.kind!r} "

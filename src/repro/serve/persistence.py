@@ -30,7 +30,6 @@ import numpy as np
 
 from ..compose.staged import StagedPipeline
 from ..exceptions import PersistenceError
-from ..pipeline import LearnRiskPipeline
 from ..serialization import pack_arrays, unpack_arrays
 
 FORMAT_VERSION = 1
@@ -117,7 +116,7 @@ def _read_json(path: Path) -> Any:
 
 # ------------------------------------------------------------------- pipelines
 def save_pipeline(pipeline: StagedPipeline, directory: str | Path) -> Path:
-    """Save a fitted pipeline (legacy facade or staged) to ``directory``.
+    """Save a fitted pipeline to ``directory``.
 
     The pipeline must be fitted; unfitted pipelines have nothing worth saving
     and ``to_state`` raises ``NotFittedError``.  Next to the binary state the
@@ -131,30 +130,17 @@ def save_pipeline(pipeline: StagedPipeline, directory: str | Path) -> Path:
     return directory
 
 
-def _checked_pipeline_state(directory: str | Path) -> dict:
+def load_pipeline(directory: str | Path) -> StagedPipeline:
+    """Load a pipeline written by :func:`save_pipeline`.
+
+    The reloaded pipeline reproduces the saved pipeline's ``predict_proba``
+    outputs and risk scores exactly, and can ``refit_risk_model`` on fresh
+    validation data.
+    """
     state = load_state(directory)
     if state.get("kind") != StagedPipeline.STATE_KIND:
         raise PersistenceError(
             f"model in {directory} has kind {state.get('kind')!r}, "
             f"expected {StagedPipeline.STATE_KIND!r}"
         )
-    return state
-
-
-def load_pipeline(directory: str | Path) -> LearnRiskPipeline:
-    """Load a pipeline written by :func:`save_pipeline`.
-
-    The reloaded pipeline reproduces the saved pipeline's ``predict_proba``
-    outputs and risk scores exactly.
-    """
-    return LearnRiskPipeline.from_state(_checked_pipeline_state(directory))
-
-
-def load_staged_pipeline(directory: str | Path) -> StagedPipeline:
-    """Load a pipeline written by :func:`save_pipeline` as a bare staged core.
-
-    Identical state, different construction surface: use this when the caller
-    works with :class:`~repro.compose.staged.StagedPipeline` directly (e.g. to
-    ``refit_risk_model`` on fresh validation data).
-    """
-    return StagedPipeline.from_state(_checked_pipeline_state(directory))
+    return StagedPipeline.from_state(state)

@@ -1,7 +1,7 @@
 """Batched risk scoring around a fitted pipeline.
 
 :class:`RiskService` is the online counterpart of
-:class:`~repro.pipeline.LearnRiskPipeline.analyse`: it wraps a fitted pipeline
+:meth:`~repro.compose.staged.StagedPipeline.analyse`: it wraps a fitted pipeline
 and scores record pairs as they arrive, the way a risk model sits in front of
 a live ER classifier to triage its output for human review.
 
@@ -165,14 +165,13 @@ class ServiceStats:
 
 
 class RiskService:
-    """Serve risk scores from a fitted :class:`LearnRiskPipeline`.
+    """Serve risk scores from a fitted :class:`~repro.compose.staged.StagedPipeline`.
 
     Parameters
     ----------
     pipeline:
-        A fitted pipeline — a :class:`~repro.pipeline.LearnRiskPipeline` or
-        any :class:`~repro.compose.staged.StagedPipeline` (freshly fitted or
-        loaded with :func:`repro.serve.persistence.load_pipeline`).
+        A fitted pipeline, freshly fitted or loaded with
+        :func:`repro.serve.persistence.load_pipeline`.
     max_batch_size:
         The most pairs scored or explained under one hold of the service lock.
     cache_size:

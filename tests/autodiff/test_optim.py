@@ -1,11 +1,11 @@
-"""Unit tests for the SGD/Adam optimizers and regularisation helpers."""
+"""Unit tests for the SGD/Adam optimizers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autodiff.optim import SGD, Adam, l1_penalty, l2_penalty
+from repro.autodiff.optim import SGD, Adam
 from repro.autodiff.tensor import Tensor, parameter
 from repro.exceptions import ConfigurationError
 
@@ -77,20 +77,3 @@ class TestAdam:
     def test_invalid_learning_rate(self):
         with pytest.raises(ConfigurationError):
             Adam([parameter([1.0])], learning_rate=-1.0)
-
-
-class TestPenalties:
-    def test_l2_value_and_gradient(self):
-        x = parameter([1.0, -2.0])
-        penalty = l2_penalty([x], strength=0.5)
-        assert penalty.item() == pytest.approx(0.5 * 5.0)
-        penalty.backward()
-        assert np.allclose(x.grad, [1.0, -2.0])
-
-    def test_l1_value(self):
-        x = parameter([1.0, -2.0])
-        assert l1_penalty([x], strength=2.0).item() == pytest.approx(6.0)
-
-    def test_empty_parameter_list(self):
-        assert l2_penalty([], strength=1.0).item() == 0.0
-        assert l1_penalty([], strength=1.0).item() == 0.0

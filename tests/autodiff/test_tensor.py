@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autodiff.tensor import Tensor, concatenate, parameter, stack_rows
+from repro.autodiff.tensor import Tensor, concatenate, parameter
 
 
 def numerical_gradient(function, value: np.ndarray, epsilon: float = 1e-6) -> np.ndarray:
@@ -164,15 +164,6 @@ class TestHelpers:
         loss.backward()
         assert np.allclose(a.grad, [1.0, 2.0])
         assert np.allclose(b.grad, [3.0])
-
-    def test_stack_rows(self):
-        a = parameter([1.0, 2.0])
-        b = parameter([3.0, 4.0])
-        stacked = stack_rows([a, b])
-        assert stacked.shape == (2, 2)
-        stacked.sum().backward()
-        assert np.allclose(a.grad, [1.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 1.0])
 
     def test_reshape_gradient(self):
         x = parameter(np.arange(6.0))

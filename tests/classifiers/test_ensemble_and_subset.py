@@ -1,11 +1,10 @@
-"""Unit tests for the bootstrap ensemble, Platt calibration and the column-subset adapter."""
+"""Unit tests for the bootstrap ensemble and the column-subset adapter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.classifiers.calibration import PlattCalibrator, expected_calibration_error
 from repro.classifiers.ensemble import BootstrapEnsemble
 from repro.classifiers.logistic import LogisticRegressionClassifier
 from repro.classifiers.subset import ColumnSubsetClassifier
@@ -44,39 +43,6 @@ class TestBootstrapEnsemble:
             n_models=3, seed=1,
         ).fit(features, labels)
         assert len(ensemble.models) == 3
-
-
-class TestPlattCalibration:
-    def test_calibration_reduces_ece_for_overconfident_scores(self):
-        rng = np.random.default_rng(0)
-        true_probabilities = rng.uniform(0.05, 0.95, size=800)
-        labels = (rng.random(800) < true_probabilities).astype(int)
-        # Over-confident scores: push towards the extremes.
-        overconfident = np.clip(true_probabilities * 1.8 - 0.4, 0.001, 0.999)
-        calibrator = PlattCalibrator(max_iterations=2000, learning_rate=0.5)
-        calibrated = calibrator.fit_transform(overconfident, labels)
-        assert expected_calibration_error(calibrated, labels) <= \
-            expected_calibration_error(overconfident, labels) + 0.02
-
-    def test_calibration_preserves_ranking(self):
-        """The related-work claim: calibration rescales but does not re-rank scores."""
-        scores = np.linspace(0.0, 1.0, 50)
-        labels = (scores > 0.5).astype(int)
-        calibrated = PlattCalibrator().fit_transform(scores, labels)
-        assert np.all(np.diff(calibrated) >= -1e-12)
-
-    def test_unfitted_transform_raises(self):
-        with pytest.raises(NotFittedError):
-            PlattCalibrator().transform(np.array([0.5]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            PlattCalibrator().fit(np.array([0.1, 0.2]), np.array([1]))
-
-    def test_ece_bounds(self):
-        assert expected_calibration_error(np.array([]), np.array([])) == 0.0
-        perfect = expected_calibration_error(np.array([1.0, 0.0]), np.array([1, 0]))
-        assert perfect == pytest.approx(0.0)
 
 
 class TestColumnSubsetClassifier:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.compose import ComponentSpec, PipelineSpec, build_pipeline
+from repro.compose import ComponentSpec, PipelineSpec, StagedPipeline, build_pipeline
 from repro.exceptions import ConfigurationError
-from repro.pipeline import LearnRiskPipeline
 from repro.risk.training import TrainingConfig
 
 
@@ -27,6 +28,20 @@ class TestComponentSpec:
         with pytest.raises(ConfigurationError, match="missing 'kind'"):
             ComponentSpec.coerce({"params": {}}, "classifier")
 
+    def test_params_are_stored_with_sorted_keys_at_every_depth(self):
+        spec = ComponentSpec("onesided_tree", {
+            "tree": {"max_depth": 2, "min_support": 4, "max_thresholds": 24},
+            "balance": True,
+        })
+        assert list(spec.params) == ["balance", "tree"]
+        assert list(spec.params["tree"]) == ["max_depth", "max_thresholds", "min_support"]
+
+    def test_list_params_keep_their_order(self):
+        spec = ComponentSpec("mlp", {"hidden_sizes": [32, 16], "layers": ({"b": 1, "a": 2},)})
+        assert spec.params["hidden_sizes"] == [32, 16]
+        assert spec.params["layers"] == ({"a": 2, "b": 1},)
+        assert list(spec.params["layers"][0]) == ["a", "b"]
+
 
 class TestPipelineSpec:
     def test_json_roundtrip(self):
@@ -41,6 +56,31 @@ class TestPipelineSpec:
         restored = PipelineSpec.from_json(spec.to_json())
         assert restored == spec
         assert restored.to_dict() == spec.to_dict()
+
+    def test_training_is_stored_with_sorted_keys(self):
+        spec = PipelineSpec(training={"theta": 0.85, "epochs": 25, "learning_rate": 0.01})
+        assert list(spec.training) == ["epochs", "learning_rate", "theta"]
+
+    def test_source_key_order_does_not_reach_the_serialised_spec(self):
+        # state.json embeds to_dict() as it is; spec.json sorts its keys.  A
+        # refit from spec.json saves the same bytes only if a spec's key
+        # order does not depend on the order its source wrote.
+        tree = {"max_depth": 2, "min_support": 4, "max_thresholds": 24}
+        reordered = {key: tree[key] for key in reversed(list(tree))}
+        first, second = (
+            PipelineSpec.from_dict({
+                "risk_features": {"kind": "onesided_tree", "params": {"tree": params}},
+                "training": training,
+            })
+            for params, training in (
+                (tree, {"epochs": 40, "theta": 0.9}),
+                (reordered, {"theta": 0.9, "epochs": 40}),
+            )
+        )
+        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+        for section in ("risk_features", "training"):
+            value = first.to_dict()[section]
+            assert json.dumps(value) == json.dumps(value, sort_keys=True), section
 
     def test_defaults_validate(self):
         assert PipelineSpec().validate() is not None
@@ -84,8 +124,8 @@ class TestEagerRiskMetricValidation:
         """The satellite requirement: a typo like "vra" fails in __init__ with a
         ValueError naming the allowed values, not deep inside risk training."""
         with pytest.raises(ValueError, match="var"):
-            LearnRiskPipeline(risk_metric="vra")
+            StagedPipeline({"risk_metric": "vra"})
 
     def test_pipeline_init_accepts_registered_metrics(self):
         for metric in ("var", "cvar", "expectation"):
-            assert LearnRiskPipeline(risk_metric=metric).risk_metric == metric
+            assert StagedPipeline({"risk_metric": metric}).spec.risk_metric == metric

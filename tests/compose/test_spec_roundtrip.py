@@ -4,12 +4,18 @@ registered classifier kind."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.compose import PipelineSpec, build_pipeline, registered_classifiers
 from repro.data import split_workload
-from repro.serve import load_pipeline, load_staged_pipeline, save_pipeline
+from repro.serve import load_pipeline, save_pipeline
+from repro.serve.cli import main as serve_cli
+
+GOLDEN_DATA = Path(__file__).resolve().parents[1] / "golden" / "data"
 
 #: Small, fast parameters per built-in classifier kind.
 CLASSIFIER_PARAMS = {
@@ -74,41 +80,12 @@ def test_loaded_staged_pipeline_supports_refit(ds_split, tmp_path):
     pipeline = build_pipeline(spec).fit(ds_split.train, ds_split.validation)
     directory = save_pipeline(pipeline, tmp_path / "model")
 
-    loaded = load_staged_pipeline(directory)
+    loaded = load_pipeline(directory)
     classifier = loaded.classifier
     loaded.refit_risk_model(ds_split.test)
     assert loaded.classifier is classifier
     assert loaded.risk_model.training_result is not None
     assert np.all(np.isfinite(loaded.analyse(ds_split.validation).risk_scores))
-
-
-def test_facade_spec_sidecar_is_buildable(ds_split, tmp_path):
-    """A model fitted through the legacy facade writes a spec.json whose
-    classifier kind/params are registry-valid and faithful to the instance."""
-    from repro.classifiers import LogisticRegressionClassifier
-    from repro.pipeline import LearnRiskPipeline
-    from repro.risk.onesided_tree import OneSidedTreeConfig
-    from repro.risk.training import TrainingConfig
-
-    pipeline = LearnRiskPipeline(
-        classifier=LogisticRegressionClassifier(epochs=40, seed=0),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=16),
-        training_config=TrainingConfig(epochs=20),
-        seed=0,
-    )
-    pipeline.fit(ds_split.train, ds_split.validation)
-    directory = save_pipeline(pipeline, tmp_path / "model")
-
-    sidecar = PipelineSpec.from_json((directory / "spec.json").read_text())
-    assert sidecar.classifier.kind == "logistic"
-    assert sidecar.classifier.params["epochs"] == 40
-
-    # The documented re-create path: build and fit straight from the sidecar.
-    recreated = build_pipeline(sidecar).fit(ds_split.train, ds_split.validation)
-    np.testing.assert_array_equal(
-        recreated.analyse(ds_split.test).risk_scores,
-        pipeline.analyse(ds_split.test).risk_scores,
-    )
 
 
 def test_custom_vectorizer_model_loads_without_registration(ds_split, tmp_path):
@@ -145,12 +122,38 @@ def test_legacy_state_without_spec_still_loads(ds_split, tmp_path):
     })).fit(ds_split.train, ds_split.validation)
     expected = pipeline.analyse(ds_split.test)
 
-    state = pipeline.to_state()
+    directory = save_pipeline(pipeline, tmp_path / "model")
+    state = json.loads((directory / "state.json").read_text())
     del state["spec"]
-    from repro.pipeline import LearnRiskPipeline
+    (directory / "state.json").write_text(json.dumps(state) + "\n")
 
-    legacy = LearnRiskPipeline.from_state(state)
-    assert legacy.risk_metric == "var"
+    legacy = load_pipeline(directory)
+    assert legacy.spec.risk_metric == "var"
+    assert legacy.spec.classifier.kind == "logistic"
+    assert legacy.spec.training["epochs"] == 20
     np.testing.assert_array_equal(
         legacy.analyse(ds_split.test).risk_scores, expected.risk_scores
     )
+
+
+def test_refit_from_saved_spec_json_saves_the_same_bytes(tmp_path):
+    """A model's own spec.json refits it byte for byte, state.json included.
+
+    The golden spec lists its tree params unsorted (max_depth, min_support,
+    max_thresholds) while spec.json is written with sorted keys, so the spec
+    embedded in state.json must not keep its source's key order.
+    """
+    def fit(spec_path: Path, output: Path) -> Path:
+        assert serve_cli([
+            "fit", "--data-dir", str(GOLDEN_DATA), "--name", "golden",
+            "--schema", str(GOLDEN_DATA / "schema.json"),
+            "--spec", str(spec_path), "--output", str(output),
+        ]) == 0
+        return output
+
+    first = fit(GOLDEN_DATA / "spec.json", tmp_path / "first")
+    again = fit(first / "spec.json", tmp_path / "again")
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name

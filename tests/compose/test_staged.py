@@ -1,18 +1,14 @@
-"""Tests for the staged pipeline core: stage protocol, parity with the legacy
-facade, incremental refit and streaming batch analysis."""
+"""Tests for the staged pipeline core: stage protocol, incremental refit and
+streaming batch analysis."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.classifiers.mlp import MLPClassifier
-from repro.compose import PipelineSpec, StagedPipeline, build_pipeline
+from repro.compose import PipelineSpec, build_pipeline
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 
 SPEC_VALUES = {
     "classifier": {"kind": "mlp", "params": {"hidden_sizes": [16], "epochs": 15}},
@@ -53,26 +49,6 @@ class TestStagedProtocol:
         with pytest.raises(NotFittedError):
             pipeline.analyse(ds_split.test)
 
-    def test_staged_fit_matches_legacy_fit_bit_for_bit(self, ds_split, staged_fitted):
-        legacy = LearnRiskPipeline(
-            classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0),
-            tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-            training_config=TrainingConfig(epochs=40),
-            seed=0,
-        )
-        legacy.fit(ds_split.train, ds_split.validation)
-        legacy_report = legacy.analyse(ds_split.test)
-        staged_report = staged_fitted.analyse(ds_split.test)
-        np.testing.assert_array_equal(
-            staged_report.machine_probabilities, legacy_report.machine_probabilities
-        )
-        np.testing.assert_array_equal(
-            staged_report.machine_labels, legacy_report.machine_labels
-        )
-        np.testing.assert_array_equal(staged_report.risk_scores, legacy_report.risk_scores)
-        np.testing.assert_array_equal(staged_report.ranking, legacy_report.ranking)
-        assert staged_report.auroc == legacy_report.auroc
-
     def test_monolithic_fit_equals_staged_fit(self, ds_split, staged_fitted):
         pipeline = build_pipeline(PipelineSpec.from_dict(SPEC_VALUES))
         pipeline.fit(ds_split.train, ds_split.validation)
@@ -80,10 +56,6 @@ class TestStagedProtocol:
             pipeline.analyse(ds_split.test).risk_scores,
             staged_fitted.analyse(ds_split.test).risk_scores,
         )
-
-    def test_facade_is_a_staged_pipeline(self):
-        assert issubclass(LearnRiskPipeline, StagedPipeline)
-
 
 class TestIncrementalRefit:
     def test_refit_keeps_classifier_and_features(self, ds_split, staged_fitted):

@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from repro.baselines import AmbiguityBaseline, LearnRiskScorer
+from repro.classifiers import LogisticRegressionClassifier
 from repro.classifiers.mlp import MLPClassifier
-from repro.data import load_dataset
+from repro.compose import PipelineSpec, build_pipeline
+from repro.data import load_dataset, split_workload
+from repro.data.workload import Workload
 from repro.evaluation.experiment import (
     evaluate_scorers,
     harmonise_for_ood,
+    prepare_experiment,
     run_holoclean_comparison,
     run_ood_experiment,
     run_scalability_experiment,
     run_sensitivity_experiment,
 )
-from repro.evaluation.reporting import (
-    format_auroc_map,
-    format_comparative_results,
-    format_series,
-    format_table,
-    summarise_result,
-)
+from repro.evaluation.reporting import format_auroc_map, format_series, format_table
+from repro.exceptions import DataError
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
 
@@ -44,6 +45,52 @@ class TestPreparedExperiment:
         context = prepared_ds.context()
         assert context.risk_features is prepared_ds.risk_features
         assert context.validation_features.shape[0] == len(prepared_ds.validation.workload)
+
+    def test_machine_labels_apply_the_decision_threshold(self, prepared_ds):
+        for part in (prepared_ds.train, prepared_ds.validation, prepared_ds.test):
+            np.testing.assert_array_equal(
+                part.machine_labels, (part.probabilities >= 0.5).astype(int)
+            )
+
+    def test_unrestricted_harness_fits_what_build_pipeline_fits(self, ds_workload):
+        # With the full metric view the harness adds nothing of its own: its
+        # classifier outputs and rules are a served pipeline's first three
+        # stages, bit for bit.
+        classifier = {"kind": "logistic", "params": {"epochs": 40}}
+        prepared = prepare_experiment(
+            ds_workload, classifier=classifier, tree_config=FAST_TREE,
+            classifier_metric_kind=None, seed=1,
+        )
+        pipeline = build_pipeline(PipelineSpec(
+            classifier=classifier,
+            risk_features={"kind": "onesided_tree", "params": {"tree": asdict(FAST_TREE)}},
+            seed=1,
+        ))
+        train = split_workload(ds_workload, ratio=(3, 2, 5), seed=1).train
+        pipeline.fit_vectorizer(train).fit_classifier(train).generate_risk_features(train)
+        for part in (prepared.train, prepared.validation, prepared.test):
+            probabilities, labels = pipeline.classify_matrix(
+                pipeline.vectorizer.transform(part.workload.pairs)
+            )
+            np.testing.assert_array_equal(part.probabilities, probabilities)
+            np.testing.assert_array_equal(part.machine_labels, labels)
+        assert [rule.to_dict() for rule in prepared.risk_features.rules] == [
+            rule.to_dict() for rule in pipeline.risk_features.rules
+        ]
+
+    def test_a_classifier_key_builds_the_registered_classifier(self, ds_workload):
+        by_key, by_instance = (
+            prepare_experiment(
+                ds_workload, classifier=classifier, tree_config=FAST_TREE, seed=2
+            )
+            for classifier in ("logistic", LogisticRegressionClassifier(seed=2))
+        )
+        np.testing.assert_array_equal(by_key.test.probabilities, by_instance.test.probabilities)
+
+    def test_a_training_workload_without_tables_is_rejected(self, ds_workload):
+        bare = Workload("bare", ds_workload.pairs)
+        with pytest.raises(DataError, match="no source tables"):
+            prepare_experiment(bare, tree_config=FAST_TREE)
 
 
 class TestEvaluateScorers:
@@ -126,18 +173,6 @@ class TestReporting:
         text = format_table(["a", "b"], [["x", 1.23456], ["y", 2.0]])
         assert "a" in text and "1.235" in text
 
-    def test_format_comparative_results(self, prepared_ds):
-        result = evaluate_scorers(prepared_ds, scorers=FAST_SCORERS, compute_curves=False)
-        text = format_comparative_results([result])
-        assert "LearnRisk" in text and prepared_ds.dataset in text
-        assert format_comparative_results([]) == "(no results)"
-
     def test_format_auroc_map_and_series(self):
         assert "0.900" in format_auroc_map("title", {"LearnRisk": 0.9})
         assert "parameter" in format_series("sweep", {1: 0.5, 2: 0.6})
-
-    def test_summarise_result(self, prepared_ds):
-        result = evaluate_scorers(prepared_ds, scorers=FAST_SCORERS, compute_curves=False)
-        summary = summarise_result(result)
-        assert summary["dataset"] == prepared_ds.dataset
-        assert "auroc_LearnRisk" in summary

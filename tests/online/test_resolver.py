@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.classifiers.mlp import MLPClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError, DataError
 from repro.online import (
@@ -35,21 +34,15 @@ from repro.online import (
     registered_policies,
     replay_events,
 )
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import RiskService
+
+from fast_spec import fast_pipeline
 
 
 @pytest.fixture(scope="module")
 def service(ds_workload):
     split = split_workload(ds_workload, ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline(
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=0,
-    )
+    pipeline = fast_pipeline()
     pipeline.fit(split.train, split.validation)
     return RiskService(pipeline)
 

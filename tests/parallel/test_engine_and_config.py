@@ -10,7 +10,7 @@ from repro.data.sources import InMemorySource
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.parallel import ExecutionConfig, ParallelScoringEngine
 from repro.parallel.config import DEFAULT_MIN_PROCESS_PAIRS
-from repro.serve import RiskService, load_staged_pipeline, save_pipeline
+from repro.serve import RiskService, load_pipeline, save_pipeline
 
 
 class TestExecutionConfig:
@@ -98,19 +98,12 @@ class TestSpecIntegration:
         assert pipeline.execution == ExecutionConfig(workers=3)
 
     def test_execution_survives_save_load(self, fitted_pipeline, tmp_path):
-        from repro.serve import load_pipeline
-
         fitted_pipeline.spec.execution = ExecutionConfig(workers=2, backend="process")
         try:
             directory = save_pipeline(fitted_pipeline, tmp_path / "model")
-            loaded = load_staged_pipeline(directory)
+            loaded = load_pipeline(directory)
             assert loaded.execution == ExecutionConfig(workers=2, backend="process")
             assert loaded.spec.execution == fitted_pipeline.spec.execution
-            # The legacy facade loader (what `load_pipeline` and the CLI use)
-            # rebinds the saved spec after construction; the execution default
-            # must be re-derived with it, not left at the constructor's None.
-            facade = load_pipeline(directory)
-            assert facade.execution == ExecutionConfig(workers=2, backend="process")
         finally:
             fitted_pipeline.spec.execution = None
             fitted_pipeline.execution = None

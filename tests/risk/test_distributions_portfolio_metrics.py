@@ -11,9 +11,7 @@ from repro.data.records import MATCH, UNMATCH
 from repro.exceptions import ConfigurationError
 from repro.risk.distributions import (
     beta_to_normal,
-    equivalence_sample_expectation,
     normal_quantile,
-    truncated_normal_mean,
     truncated_normal_quantile,
 )
 from repro.risk.metrics import (
@@ -50,19 +48,9 @@ class TestDistributions:
         values = truncated_normal_quantile(np.array([0.3, 1.4]), np.array([0.0, 0.0]), 0.9)
         assert np.allclose(values, [0.3, 1.0])
 
-    def test_truncated_mean_bounds(self):
-        values = truncated_normal_mean(np.array([0.2, 0.9]), np.array([0.5, 0.5]))
-        assert np.all((values >= 0.0) & (values <= 1.0))
-
     def test_invalid_level(self):
         with pytest.raises(ConfigurationError):
             normal_quantile(np.array([0.5]), np.array([0.1]), 1.5)
-
-    def test_sample_expectation(self):
-        assert equivalence_sample_expectation(5, 10, smoothing=0.0) == 0.5
-        assert 0.0 < equivalence_sample_expectation(0, 10) < 0.1
-        with pytest.raises(ConfigurationError):
-            equivalence_sample_expectation(5, 3)
 
     @settings(max_examples=50, deadline=None)
     @given(mean=st.floats(-0.5, 1.5), std=st.floats(0.0, 1.0), level=st.floats(0.05, 0.95))

@@ -10,7 +10,6 @@ from repro.risk.training import (
     RiskModelTrainer,
     RiskParameters,
     TrainingConfig,
-    _rank_auroc,
     differentiable_var_scores,
     inverse_softplus,
     output_bin_matrix,
@@ -188,84 +187,6 @@ class TestTrainer:
                                machine_labels, risk_labels)
         assert result.trained
         assert len(result.losses) == 20
-
-
-def _reference_rank_auroc(labels: np.ndarray, scores: np.ndarray) -> float:
-    """The pre-vectorisation tie-averaging loop, kept as the regression oracle."""
-    labels = np.asarray(labels, dtype=int)
-    scores = np.asarray(scores, dtype=float)
-    positives = int(labels.sum())
-    negatives = len(labels) - positives
-    if positives == 0 or negatives == 0:
-        return float("nan")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=float)
-    ranks[order] = np.arange(1, len(scores) + 1, dtype=float)
-    unique_scores, inverse = np.unique(scores, return_inverse=True)
-    for value_index in range(len(unique_scores)):
-        members = inverse == value_index
-        if members.sum() > 1:
-            ranks[members] = ranks[members].mean()
-    u_statistic = float(ranks[labels == 1].sum()) - positives * (positives + 1) / 2.0
-    return u_statistic / (positives * negatives)
-
-
-class TestRankAuroc:
-    def test_bit_identical_on_heavy_ties(self):
-        # A handful of distinct score values over many points: every group is
-        # a tie group, the exact regime the O(unique * n) loop was slow in.
-        rng = np.random.default_rng(0)
-        scores = rng.choice([0.1, 0.25, 0.25, 0.5, 0.9], size=500)
-        labels = rng.integers(0, 2, size=500)
-        assert _rank_auroc(labels, scores) == _reference_rank_auroc(labels, scores)
-
-    def test_bit_identical_all_scores_tied(self):
-        labels = np.array([0, 1, 0, 1, 1])
-        scores = np.full(5, 0.5)
-        result = _rank_auroc(labels, scores)
-        assert result == _reference_rank_auroc(labels, scores)
-        assert result == pytest.approx(0.5)
-
-    def test_bit_identical_without_ties(self):
-        rng = np.random.default_rng(1)
-        scores = rng.permutation(np.linspace(0.0, 1.0, 200))
-        labels = (rng.random(200) < 0.3).astype(int)
-        assert _rank_auroc(labels, scores) == _reference_rank_auroc(labels, scores)
-
-    def test_perfect_ranking(self):
-        labels = np.array([0, 0, 0, 1, 1])
-        scores = np.array([0.1, 0.2, 0.3, 0.8, 0.9])
-        assert _rank_auroc(labels, scores) == 1.0
-
-    def test_single_class_is_nan(self):
-        assert np.isnan(_rank_auroc(np.ones(4, dtype=int), np.arange(4.0)))
-        assert np.isnan(_rank_auroc(np.zeros(4, dtype=int), np.arange(4.0)))
-
-    def test_nan_scores_grouped_like_legacy(self):
-        # np.unique treats all NaNs as one tie group; the reduceat pass must
-        # do the same (gamma can go NaN on diverged training runs).
-        labels = np.array([0, 1, 1, 0, 1])
-        scores = np.array([0.2, np.nan, 0.7, np.nan, 0.5])
-        assert _rank_auroc(labels, scores) == _reference_rank_auroc(labels, scores)
-
-    def test_all_nan_scores(self):
-        labels = np.array([0, 1, 1, 0])
-        scores = np.full(4, np.nan)
-        assert _rank_auroc(labels, scores) == _reference_rank_auroc(labels, scores)
-
-    def test_randomised_tie_patterns_bit_identical(self):
-        rng = np.random.default_rng(2)
-        for trial in range(20):
-            n = int(rng.integers(2, 120))
-            n_values = int(rng.integers(1, 8))
-            scores = rng.choice(rng.random(n_values), size=n)
-            labels = rng.integers(0, 2, size=n)
-            expected = _reference_rank_auroc(labels, scores)
-            actual = _rank_auroc(labels, scores)
-            if np.isnan(expected):
-                assert np.isnan(actual)
-            else:
-                assert actual == expected, f"trial {trial}"
 
 
 class TestSplitHoldout:

@@ -16,25 +16,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.classifiers.mlp import MLPClassifier
 from repro.data import split_workload
 from repro.data.records import Record
 from repro.online import EventLog, ResolutionPolicy, replay_events
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import save_pipeline
 from repro.serve.http import ServerConfig, ServerHandle, build_server, handlers
+
+from fast_spec import fast_pipeline
 
 
 def _fit_pipeline(workload, seed=0):
     split = split_workload(workload, ratio=(3, 2, 5), seed=seed)
-    pipeline = LearnRiskPipeline(
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=seed),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=seed,
-    )
+    pipeline = fast_pipeline(seed)
     pipeline.fit(split.train, split.validation)
     return pipeline
 

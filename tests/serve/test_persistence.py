@@ -18,18 +18,16 @@ from repro.classifiers import (
     DecisionTreeClassifier,
     LogisticRegressionClassifier,
     MLPClassifier,
-    PlattCalibrator,
     RandomForestClassifier,
     classifier_from_state,
 )
-from repro.compose import PipelineSpec, build_pipeline
+from repro.compose import PipelineSpec, StagedPipeline, build_pipeline
 from repro.data import split_workload
 from repro.exceptions import NotFittedError, PersistenceError
 from repro.features.vectorizer import PairVectorizer
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import load_pipeline, load_state, save_pipeline, save_state
+
+from fast_spec import fast_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -75,14 +73,6 @@ class TestClassifierRoundTrips:
         with pytest.raises(PersistenceError, match="unknown classifier kind"):
             classifier_from_state({"kind": "quantum_matcher", "version": 1})
 
-    def test_platt_calibrator_round_trip(self, training_data):
-        features, labels = training_data
-        scores = features[:, 0]
-        calibrator = PlattCalibrator(max_iterations=50).fit(scores, labels)
-        restored = PlattCalibrator.from_state(calibrator.to_state())
-        np.testing.assert_array_equal(restored.transform(scores), calibrator.transform(scores))
-
-
 class TestVectorizerRoundTrip:
     def test_transform_is_bit_identical(self, ds_workload, tmp_path):
         vectorizer = PairVectorizer(ds_workload.left_table.schema)
@@ -108,12 +98,7 @@ class TestVectorizerRoundTrip:
 @pytest.fixture(scope="module")
 def fitted_pipeline(ds_workload):
     split = split_workload(ds_workload, ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline(
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=0,
-    )
+    pipeline = fast_pipeline()
     pipeline.fit(split.train, split.validation)
     return pipeline, split
 
@@ -138,6 +123,21 @@ class TestPipelineRoundTrip:
         np.testing.assert_array_equal(report.risk_scores, expected.risk_scores)
         np.testing.assert_array_equal(report.ranking, expected.ranking)
         assert report.auroc == expected.auroc
+
+    def test_load_pipeline_returns_a_staged_pipeline(self, fitted_pipeline, tmp_path):
+        pipeline, _ = fitted_pipeline
+        restored = load_pipeline(save_pipeline(pipeline, tmp_path / "model"))
+        assert type(restored) is StagedPipeline
+        assert restored.spec == pipeline.spec
+
+    def test_a_loaded_pipeline_saves_the_same_bytes(self, fitted_pipeline, tmp_path):
+        pipeline, _ = fitted_pipeline
+        original = save_pipeline(pipeline, tmp_path / "original")
+        again = save_pipeline(load_pipeline(original), tmp_path / "again")
+        names = sorted(path.name for path in original.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            assert (original / name).read_bytes() == (again / name).read_bytes(), name
 
     def test_loaded_pipeline_shares_one_vectorizer(self, fitted_pipeline, tmp_path):
         pipeline, _ = fitted_pipeline
@@ -193,7 +193,7 @@ class TestPipelineRoundTrip:
 
     def test_unfitted_pipeline_refuses_to_save(self, tmp_path):
         with pytest.raises(NotFittedError):
-            save_pipeline(LearnRiskPipeline(), tmp_path / "nope")
+            save_pipeline(fast_pipeline(), tmp_path / "nope")
 
 
 class TestCorruptedStates:
@@ -234,7 +234,7 @@ class TestCorruptedStates:
         state = pipeline.to_state()
         state["version"] = 999
         with pytest.raises(PersistenceError, match="999"):
-            LearnRiskPipeline.from_state(state)
+            StagedPipeline.from_state(state)
 
     def test_future_format_version(self, fitted_pipeline, tmp_path):
         pipeline, _ = fitted_pipeline
@@ -252,14 +252,14 @@ class TestCorruptedStates:
             state["risk_model"]["features"]["rules"][:1]
         )
         with pytest.raises(PersistenceError, match="rules"):
-            LearnRiskPipeline.from_state(state)
+            StagedPipeline.from_state(state)
 
     def test_missing_required_field(self, fitted_pipeline):
         pipeline, _ = fitted_pipeline
         state = pipeline.to_state()
         del state["classifier"]
         with pytest.raises(PersistenceError, match="classifier"):
-            LearnRiskPipeline.from_state(state)
+            StagedPipeline.from_state(state)
 
 
 class TestArrayPacking:

@@ -10,25 +10,20 @@ import numpy as np
 import pytest
 
 from repro.classifiers import LogisticRegressionClassifier, MLPClassifier
-from repro.compose import create_source
+from repro.compose import PipelineSpec, build_pipeline, create_source, registered_classifiers
+from repro.compose.spec import DEFAULT_CLASSIFIER_PARAMS
 from repro.data import split_workload
 from repro.data.io import export_workload
 from repro.exceptions import ConfigurationError
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import ModelRegistry, RiskService, load_pipeline, save_pipeline
-from repro.serve.cli import main
+from repro.serve.cli import _spec_from_flags, build_parser, main
+
+from fast_spec import fast_pipeline
 
 
 def _fit_pipeline(workload, classifier=None, seed=0):
     split = split_workload(workload, ratio=(3, 2, 5), seed=seed)
-    pipeline = LearnRiskPipeline(
-        classifier=classifier or MLPClassifier(hidden_sizes=(16,), epochs=15, seed=seed),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=seed,
-    )
+    pipeline = fast_pipeline(seed, classifier=classifier)
     pipeline.fit(split.train, split.validation)
     return pipeline, split
 
@@ -173,6 +168,41 @@ class TestModelRegistry:
         assert registry.versions("ds") == list(range(1, 12))
 
 
+def _flag_spec(*flags: str) -> PipelineSpec:
+    return _spec_from_flags(build_parser().parse_args(["fit", "--output", "model", *flags]))
+
+
+class TestFitFlagSpec:
+    """``fit`` without ``--spec`` builds the spec its flags describe."""
+
+    @pytest.mark.parametrize("kind", registered_classifiers())
+    def test_epochs_reach_only_the_classifiers_trained_by_epochs(self, kind):
+        spec = _flag_spec("--classifier", kind, "--epochs", "7")
+        assert spec.classifier.kind == kind
+        expected = {"epochs": 7} if kind in ("mlp", "logistic") else {}
+        assert spec.classifier.params == expected
+
+    def test_without_epochs_the_mlp_keeps_its_constructor_defaults(self):
+        spec = _flag_spec("--classifier", "mlp")
+        assert spec.classifier.params == {}
+        classifier = build_pipeline(spec).classifier
+        default = MLPClassifier()
+        assert (classifier.l2, classifier.epochs) == (default.l2, default.epochs)
+        # Not the library's default classifier, whose l2 is smaller.
+        assert classifier.l2 != DEFAULT_CLASSIFIER_PARAMS["l2"]
+
+    def test_rule_depth_risk_epochs_metric_and_seed_reach_the_spec(self):
+        spec = _flag_spec(
+            "--rule-depth", "2", "--risk-epochs", "30", "--risk-metric", "cvar", "--seed", "4"
+        )
+        assert spec.risk_features.kind == "onesided_tree"
+        assert spec.risk_features.params == {"tree": {"max_depth": 2}}
+        assert spec.training == {"epochs": 30}
+        assert spec.risk_metric == "cvar"
+        assert spec.seed == 4
+        assert spec.training_config().seed == 4
+
+
 class TestCli:
     @pytest.fixture(scope="class")
     def csv_workload_dir(self, ds_workload, tmp_path_factory):
@@ -208,6 +238,50 @@ class TestCli:
         assert {p.name for p in fitted_model_dir.iterdir()} == {
             "manifest.json", "state.json", "arrays.npz", "spec.json"
         }
+
+    @staticmethod
+    def _fit_from_spec(csv_workload_dir, schema_file, spec_path, output):
+        directory, workload = csv_workload_dir
+        assert main([
+            "fit", "--data-dir", str(directory), "--name", workload.name,
+            "--schema", str(schema_file), "--spec", str(spec_path), "--output", str(output),
+        ]) == 0
+        return output
+
+    @staticmethod
+    def _assert_same_files(first, second):
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_flags_and_the_spec_they_describe_save_the_same_model(
+        self, fitted_model_dir, csv_workload_dir, schema_file, tmp_path
+    ):
+        # The spec a user would write for the fixture's flags: both paths run
+        # build_pipeline on it, so every saved byte agrees.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "classifier": {"kind": "logistic", "params": {"epochs": 60}},
+            "risk_features": {"kind": "onesided_tree", "params": {"tree": {"max_depth": 2}}},
+            "training": {"epochs": 30},
+        }))
+        from_spec = self._fit_from_spec(
+            csv_workload_dir, schema_file, spec_path, tmp_path / "from-spec"
+        )
+        self._assert_same_files(fitted_model_dir, from_spec)
+
+    def test_flag_spec_sidecar_refits_the_same_bytes(
+        self, fitted_model_dir, csv_workload_dir, schema_file, tmp_path
+    ):
+        sidecar = PipelineSpec.from_json((fitted_model_dir / "spec.json").read_text())
+        assert sidecar.classifier.kind == "logistic"
+        assert sidecar.classifier.params == {"epochs": 60}
+        assert sidecar.risk_features.params == {"tree": {"max_depth": 2}}
+        refit = self._fit_from_spec(
+            csv_workload_dir, schema_file, fitted_model_dir / "spec.json", tmp_path / "refit"
+        )
+        self._assert_same_files(fitted_model_dir, refit)
 
     def test_score_csv_workload(self, fitted_model_dir, csv_workload_dir, tmp_path, capsys):
         directory, workload = csv_workload_dir
@@ -396,6 +470,13 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "learn_risk_pipeline" in printed
         assert "LogisticRegressionClassifier" in printed
+
+    def test_inspect_reads_the_saved_spec(self, fitted_model_dir, capsys):
+        assert main(["inspect", "--model", str(fitted_model_dir)]) == 0
+        printed = capsys.readouterr().out
+        assert "risk metric: var" in printed
+        assert "decision threshold: 0.5" in printed
+        assert "spec: classifier='logistic'" in printed
 
     def test_missing_model_fails_cleanly(self, tmp_path, capsys):
         exit_code = main(["score", "--model", str(tmp_path / "absent"), "--dataset", "DS"])

@@ -19,23 +19,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.classifiers import LogisticRegressionClassifier, MLPClassifier
+from repro.classifiers import LogisticRegressionClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import ModelRegistry, RiskService
+
+from fast_spec import fast_pipeline
 
 
 def _fit_pipeline(workload, classifier=None, seed=0):
     split = split_workload(workload, ratio=(3, 2, 5), seed=seed)
-    pipeline = LearnRiskPipeline(
-        classifier=classifier or MLPClassifier(hidden_sizes=(16,), epochs=15, seed=seed),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=seed,
-    )
+    pipeline = fast_pipeline(seed, classifier=classifier)
     pipeline.fit(split.train, split.validation)
     return pipeline, split
 

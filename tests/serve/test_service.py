@@ -7,24 +7,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.classifiers import MLPClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.pipeline import LearnRiskPipeline
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 from repro.serve import RiskService, pair_key
+
+from fast_spec import fast_pipeline
 
 
 @pytest.fixture(scope="module")
 def served(ds_workload):
     split = split_workload(ds_workload, ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline(
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=40),
-        seed=0,
-    )
+    pipeline = fast_pipeline()
     pipeline.fit(split.train, split.validation)
     return pipeline, split
 
@@ -32,7 +25,7 @@ def served(ds_workload):
 class TestConstruction:
     def test_requires_fitted_pipeline(self):
         with pytest.raises(NotFittedError):
-            RiskService(LearnRiskPipeline())
+            RiskService(fast_pipeline())
 
     def test_validates_options(self, served):
         pipeline, _ = served

@@ -1,4 +1,4 @@
-"""End-to-end tests for the high-level LearnRiskPipeline and the public API."""
+"""End-to-end tests of a spec-built pipeline on workloads, and of the public API."""
 
 from __future__ import annotations
 
@@ -6,31 +6,30 @@ import numpy as np
 import pytest
 
 import repro
-from repro.classifiers.mlp import MLPClassifier
+from repro.compose import build_pipeline
 from repro.data import split_workload
 from repro.exceptions import NotFittedError
-from repro.pipeline import LearnRiskPipeline
 from repro.risk import RuleContribution
-from repro.risk.onesided_tree import OneSidedTreeConfig
-from repro.risk.training import TrainingConfig
 
 
 @pytest.fixture(scope="module")
 def fitted_pipeline(ds_workload):
     split = split_workload(ds_workload, ratio=(3, 2, 5), seed=0)
-    pipeline = LearnRiskPipeline(
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=20, seed=0),
-        tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        training_config=TrainingConfig(epochs=50),
-        seed=0,
-    )
+    pipeline = build_pipeline({
+        "classifier": {"kind": "mlp", "params": {"hidden_sizes": [16], "epochs": 20}},
+        "risk_features": {
+            "kind": "onesided_tree",
+            "params": {"tree": {"max_depth": 2, "min_support": 4, "max_thresholds": 24}},
+        },
+        "training": {"epochs": 50},
+    })
     pipeline.fit(split.train, split.validation)
     return pipeline, split
 
 
-class TestLearnRiskPipeline:
+class TestFittedPipeline:
     def test_unfitted_usage_raises(self, ds_workload):
-        pipeline = LearnRiskPipeline()
+        pipeline = build_pipeline()
         with pytest.raises(NotFittedError):
             pipeline.analyse(ds_workload)
         with pytest.raises(NotFittedError):
@@ -97,18 +96,21 @@ class TestLearnRiskPipeline:
 class TestPublicApi:
     def test_version_and_exports(self):
         assert repro.__version__
-        for name in ("LearnRiskPipeline", "LearnRiskModel", "RiskFeatureGenerator",
-                     "load_dataset", "split_workload", "auroc_score"):
+        for name in ("StagedPipeline", "build_pipeline", "LearnRiskModel",
+                     "RiskFeatureGenerator", "load_dataset", "split_workload", "auroc_score"):
             assert hasattr(repro, name)
 
     def test_quickstart_flow(self, ds_workload):
         """The README quick-start must work as written (with a smaller workload)."""
         split = repro.split_workload(ds_workload, ratio=(3, 2, 5), seed=0)
-        pipeline = repro.LearnRiskPipeline(
-            classifier=MLPClassifier(hidden_sizes=(8,), epochs=10, seed=0),
-            tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=16),
-            training_config=TrainingConfig(epochs=20),
-        )
+        pipeline = repro.build_pipeline({
+            "classifier": {"kind": "mlp", "params": {"hidden_sizes": [8], "epochs": 10}},
+            "risk_features": {
+                "kind": "onesided_tree",
+                "params": {"tree": {"max_depth": 2, "min_support": 4, "max_thresholds": 16}},
+            },
+            "training": {"epochs": 20},
+        })
         pipeline.fit(split.train, split.validation)
         report = pipeline.analyse(split.test, explain_top=2)
         assert report.top_risky(1)
