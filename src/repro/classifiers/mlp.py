@@ -48,7 +48,7 @@ class MLPClassifier(BaseClassifier):
         learning_rate: float = 0.01,
         epochs: int = 60,
         batch_size: int | None = 64,
-        l2: float = 1e-4,
+        l2: float = 1e-5,
         balance_classes: bool = True,
         seed: int = 0,
     ) -> None:

@@ -8,8 +8,8 @@ engineered metric matrix, so exposing it to the difference metrics would give
 it knowledge the original classifier does not have and erase the asymmetry the
 paper studies.  :class:`ColumnSubsetClassifier` restores that asymmetry: it
 wraps any classifier and silently restricts it to a chosen subset of columns
-(by default the similarity metrics), while the risk features keep using the
-full metric space.
+(the spec classifier ``"similarity_view"`` picks the similarity metrics),
+while the risk features keep using the full metric space.
 """
 
 from __future__ import annotations

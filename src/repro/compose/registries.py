@@ -15,9 +15,13 @@ core code::
 Factory protocols
 -----------------
 classifier
-    ``factory(**params) -> BaseClassifier``.  When the factory accepts a
+    ``factory(**params) -> BaseClassifier``; called at ``fit_classifier``
+    time, after the vectoriser is fitted.  When the factory accepts a
     ``seed`` parameter and the spec params do not set one, the spec's seed is
-    injected, so one spec-level seed drives every seeded component.
+    injected, so one spec-level seed drives every seeded component.  A
+    factory that names a ``vectorizer`` parameter also gets the fitted
+    vectoriser (``"similarity_view"`` picks its columns from it); a
+    ``**params`` factory never does.
 vectorizer
     ``factory(schema, **params) -> PairVectorizer``; called lazily at
     ``fit_vectorizer`` time because the schema comes from the training data.
@@ -44,6 +48,7 @@ from typing import Any, Callable, Mapping
 
 from ..classifiers import (
     BootstrapEnsemble,
+    ColumnSubsetClassifier,
     DecisionTreeClassifier,
     LogisticRegressionClassifier,
     MLPClassifier,
@@ -59,6 +64,7 @@ from ..data.sources import (
     ShardedSource,
 )
 from ..exceptions import ConfigurationError
+from ..features.metric_registry import SIMILARITY
 from ..features.vectorizer import PairVectorizer
 from ..registry import ComponentRegistry
 from ..risk.feature_generation import RiskFeatureGenerator
@@ -129,14 +135,19 @@ def registered_sources() -> list[str]:
     return PAIR_SOURCES.keys()
 
 
-def _accepts_parameter(factory: Callable[..., Any], name: str) -> bool:
-    """Whether ``factory`` accepts a keyword parameter called ``name``."""
+def _accepts_parameter(
+    factory: Callable[..., Any], name: str, *, via_kwargs: bool = True
+) -> bool:
+    """Whether ``factory`` accepts a keyword parameter called ``name``.
+
+    A ``**kwargs`` factory accepts any name unless ``via_kwargs`` is false.
+    """
     try:
         signature = inspect.signature(factory)
     except (TypeError, ValueError):  # builtins without introspectable signatures
         return False
     for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+        if via_kwargs and parameter.kind is inspect.Parameter.VAR_KEYWORD:
             return True
         if parameter.name == name and parameter.kind in (
             inspect.Parameter.POSITIONAL_OR_KEYWORD,
@@ -146,15 +157,25 @@ def _accepts_parameter(factory: Callable[..., Any], name: str) -> bool:
     return False
 
 
-def create_classifier(kind: str, params: Mapping[str, Any], seed: int = 0) -> BaseClassifier:
+def create_classifier(
+    kind: str,
+    params: Mapping[str, Any],
+    seed: int = 0,
+    vectorizer: PairVectorizer | None = None,
+) -> BaseClassifier:
     """Build a classifier from its registry key, injecting the spec seed.
 
     ``seed`` is only injected when the factory accepts one and ``params`` does
-    not already pin it, so unseeded custom factories keep working.
+    not already pin it, so unseeded custom factories keep working.  The fitted
+    ``vectorizer`` reaches only a factory that names a ``vectorizer``
+    parameter.
     """
+    factory = CLASSIFIERS.get(kind)
     params = dict(params)
-    if "seed" not in params and _accepts_parameter(CLASSIFIERS.get(kind), "seed"):
+    if "seed" not in params and _accepts_parameter(factory, "seed"):
         params["seed"] = seed
+    if vectorizer is not None and _accepts_parameter(factory, "vectorizer", via_kwargs=False):
+        params["vectorizer"] = vectorizer
     classifier = CLASSIFIERS.create(kind, **params)
     if not isinstance(classifier, BaseClassifier):
         raise ConfigurationError(
@@ -197,6 +218,30 @@ register_classifier("logistic", LogisticRegressionClassifier)
 register_classifier("tree", DecisionTreeClassifier)
 register_classifier("forest", RandomForestClassifier)
 register_classifier("ensemble", BootstrapEnsemble)
+
+
+@register_classifier("similarity_view")
+def build_similarity_view(
+    vectorizer: PairVectorizer, base: Mapping[str, Any] | str = "mlp", seed: int = 0
+) -> BaseClassifier:
+    """The paper's matcher: the ``base`` classifier spec on the similarity metrics only.
+
+    DeepMatcher, the classifier of the paper's protocol, never sees the
+    difference metrics that LearnRisk's rules use.  The base is wrapped in a
+    :class:`~repro.classifiers.ColumnSubsetClassifier` over the fitted
+    vectoriser's similarity columns; when those are all of the columns or
+    none of them, the bare base is returned.
+    """
+    from .spec import ComponentSpec
+
+    base_spec = ComponentSpec.coerce(base, "similarity_view base")
+    classifier = create_classifier(base_spec.kind, base_spec.params, seed, vectorizer)
+    indices = [
+        index for index, spec in enumerate(vectorizer.metrics) if spec.kind == SIMILARITY
+    ]
+    if not indices or len(indices) == len(vectorizer.metrics):
+        return classifier
+    return ColumnSubsetClassifier(classifier, indices)
 
 
 @register_vectorizer("basic")

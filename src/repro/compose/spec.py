@@ -41,16 +41,6 @@ from .registries import (
     resolve_risk_metric,
 )
 
-#: Params of the default classifier, the MLP that stands in for DeepMatcher.
-#: Its ``l2`` differs from :class:`~repro.classifiers.MLPClassifier`'s own
-#: default (1e-4), so ``{"kind": "mlp"}`` with no params is another classifier.
-DEFAULT_CLASSIFIER_PARAMS: dict[str, Any] = {
-    "hidden_sizes": [32, 16],
-    "epochs": 60,
-    "l2": 1e-5,
-}
-
-
 def _sorted_keys(value: Any) -> Any:
     """``value`` with the keys of every nested mapping sorted; lists keep their order.
 
@@ -204,9 +194,7 @@ class PipelineSpec:
         training config) unless they pin their own.
     """
 
-    classifier: ComponentSpec = field(
-        default_factory=lambda: ComponentSpec("mlp", dict(DEFAULT_CLASSIFIER_PARAMS))
-    )
+    classifier: ComponentSpec = field(default_factory=lambda: ComponentSpec("mlp"))
     vectorizer: ComponentSpec = field(default_factory=lambda: ComponentSpec("basic"))
     risk_features: ComponentSpec = field(default_factory=lambda: ComponentSpec("onesided_tree"))
     source: ComponentSpec | None = None
@@ -246,23 +234,16 @@ class PipelineSpec:
         self.seed = int(self.seed)
 
     # ------------------------------------------------------------- validation
-    def validate(self, require_components: bool = True) -> "PipelineSpec":
-        """Check the spec against the registries; returns ``self``.
-
-        ``require_components=False`` skips the registry lookups of the three
-        buildable components — used when pre-built component instances are
-        supplied (a loaded model, or the experiment harness's restricted
-        classifier), where only the risk metric and scalar fields must hold.
-        """
+    def validate(self) -> "PipelineSpec":
+        """Check the spec against the registries; returns ``self``."""
         resolve_risk_metric(self.risk_metric)
-        if require_components:
-            CLASSIFIERS.get(self.classifier.kind)
-            VECTORIZERS.get(self.vectorizer.kind)
-            RISK_FEATURE_GENERATORS.get(self.risk_features.kind)
-            if self.source is not None:
-                PAIR_SOURCES.get(self.source.kind)
-            if self.online is not None:
-                self.online_policy()
+        CLASSIFIERS.get(self.classifier.kind)
+        VECTORIZERS.get(self.vectorizer.kind)
+        RISK_FEATURE_GENERATORS.get(self.risk_features.kind)
+        if self.source is not None:
+            PAIR_SOURCES.get(self.source.kind)
+        if self.online is not None:
+            self.online_policy()
         return self
 
     def online_policy(self):

@@ -17,11 +17,12 @@ incremental operation possible:
 * :meth:`analyse_batches` streams :class:`RiskReport` chunks over a large
   workload instead of materialising one giant report.
 
-Construction is spec-driven (:func:`build_pipeline` resolves every component
-through the registries), but pre-built component instances can be injected for
-programmatic composition: :meth:`StagedPipeline.from_state` injects the loaded
-components, and the experiment harness (:mod:`repro.evaluation.experiment`)
-injects the paper's similarity-only classifier view.
+A pipeline is its spec: every component is resolved through the registries,
+the vectoriser at ``fit_vectorizer`` (its schema comes from the data) and the
+classifier at ``fit_classifier`` (a factory may read the fitted vectoriser, as
+the paper's ``"similarity_view"`` does), so a saved ``spec.json`` always
+refits the model it came from.  :meth:`StagedPipeline.from_state` restores a
+saved model's fitted parts instead.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from ..serialization import (
     state_field,
 )
 from .registries import (
-    VECTORIZERS,
     create_classifier,
     create_risk_feature_generator,
     create_source,
@@ -86,60 +86,56 @@ class StagedPipeline:
     ----------
     spec:
         The declarative configuration (a :class:`PipelineSpec`, a mapping in
-        its ``to_dict`` layout, or ``None`` for the defaults).
-    classifier, vectorizer, feature_generator, training_config:
-        Optional pre-built instances overriding spec-driven construction of the
-        corresponding component.  The spec's registry key for an overridden
-        component is informational only.
+        its ``to_dict`` layout, or ``None`` for the defaults), the pipeline's
+        one description.
     """
 
-    def __init__(
-        self,
-        spec: PipelineSpec | Mapping[str, Any] | None = None,
-        *,
-        classifier: BaseClassifier | None = None,
-        vectorizer: PairVectorizer | None = None,
-        feature_generator: Any | None = None,
-        training_config: TrainingConfig | None = None,
-    ) -> None:
+    def __init__(self, spec: PipelineSpec | Mapping[str, Any] | None = None) -> None:
         if spec is None:
             spec = PipelineSpec()
         elif not isinstance(spec, PipelineSpec):
             spec = PipelineSpec.from_dict(spec)
-        # Validate eagerly: an unknown risk metric or component key must fail
-        # here, at construction, not hundreds of seconds into training.
-        spec.validate(require_components=False)
-        self.spec = spec
-        if classifier is None:
-            classifier = create_classifier(spec.classifier.kind, spec.classifier.params, spec.seed)
-        self.classifier = classifier
-        self._vectorizer_injected = vectorizer is not None
-        self.vectorizer: PairVectorizer | None = vectorizer
-        if vectorizer is None:
-            VECTORIZERS.get(spec.vectorizer.kind)
-        if feature_generator is None:
-            feature_generator = create_risk_feature_generator(
+        # Validate eagerly: an unknown component key, risk metric or tree
+        # param must fail here, at construction, not hundreds of seconds into
+        # training.
+        spec.validate()
+        self._assemble(
+            spec,
+            create_risk_feature_generator(
                 spec.risk_features.kind, spec.risk_features.params, spec.seed
-            )
+            ),
+            spec.training_config(),
+        )
+
+    def _assemble(
+        self,
+        spec: PipelineSpec,
+        feature_generator: Any,
+        training_config: TrainingConfig,
+        vectorizer: PairVectorizer | None = None,
+        classifier: BaseClassifier | None = None,
+        risk_model: LearnRiskModel | None = None,
+    ) -> None:
+        """Set every part: a new pipeline's, or the fitted ones of a saved model."""
+        self.spec = spec
         self.feature_generator = feature_generator
-        self.training_config = training_config or spec.training_config()
+        self.training_config = training_config
         #: Default execution configuration for chunked scoring (spec-driven;
         #: per-call ``workers=`` / ``execution=`` arguments override it).
         self.execution: ExecutionConfig | None = spec.execution
-        self.risk_features: GeneratedRiskFeatures | None = None
-        self.risk_model: LearnRiskModel | None = None
-        self._fitted = False
+        self.vectorizer: PairVectorizer | None = vectorizer
+        self.classifier: BaseClassifier | None = classifier
+        self.risk_model: LearnRiskModel | None = risk_model
+        self.risk_features: GeneratedRiskFeatures | None = (
+            None if risk_model is None else risk_model.features
+        )
+        self._fitted = risk_model is not None
 
     # -------------------------------------------------------------- liveness
     @property
     def is_fitted(self) -> bool:
         """``True`` once every stage has completed (or a fitted state was loaded)."""
         return self._fitted
-
-    @property
-    def ready(self) -> bool:
-        """Alias of :attr:`is_fitted`, the vocabulary used by the serving layer."""
-        return self.is_fitted
 
     @property
     def decision_threshold(self) -> float:
@@ -155,6 +151,11 @@ class StagedPipeline:
             raise NotFittedError("run fit_vectorizer before this stage")
         return self.vectorizer
 
+    def _require_classifier(self) -> BaseClassifier:
+        if self.classifier is None:
+            raise NotFittedError("run fit_classifier before this stage")
+        return self.classifier
+
     # ---------------------------------------------------------------- stages
     def fit_vectorizer(self, workload: Workload) -> "StagedPipeline":
         """Stage 1 — build the vectoriser and fit its corpus statistics."""
@@ -163,25 +164,24 @@ class StagedPipeline:
                 "fit_vectorizer requires a workload with source tables "
                 "(the schema and corpus statistics come from them)"
             )
-        if self._vectorizer_injected and self.vectorizer is not None:
-            vectorizer = self.vectorizer
-        else:
-            vectorizer = create_vectorizer(
-                self.spec.vectorizer.kind,
-                workload.left_table.schema,
-                self.spec.vectorizer.params,
-            )
+        vectorizer = create_vectorizer(
+            self.spec.vectorizer.kind, workload.left_table.schema, self.spec.vectorizer.params
+        )
         with get_recorder().span("fit_vectorizer"):
             vectorizer.fit(workload.left_table, workload.right_table)
         self.vectorizer = vectorizer
         return self
 
     def fit_classifier(self, train: Workload) -> "StagedPipeline":
-        """Stage 2 — train the machine classifier on the training pairs."""
+        """Stage 2 — build the machine classifier and train it on the training pairs."""
         vectorizer = self._require_vectorizer()
+        classifier = create_classifier(
+            self.spec.classifier.kind, self.spec.classifier.params, self.spec.seed, vectorizer
+        )
         with get_recorder().span("fit_classifier"):
             features = vectorizer.transform(train.pairs)
-            self.classifier.fit(features, train.labels())
+            classifier.fit(features, train.labels())
+        self.classifier = classifier
         return self
 
     def generate_risk_features(self, train: Workload) -> "StagedPipeline":
@@ -201,6 +201,7 @@ class StagedPipeline:
         vectorizer = self._require_vectorizer()
         if self.risk_features is None:
             raise NotFittedError("run generate_risk_features before fit_risk_model")
+        classifier = self._require_classifier()
         self.risk_model = LearnRiskModel(
             self.risk_features,
             config=self.training_config,
@@ -208,7 +209,7 @@ class StagedPipeline:
         )
         with get_recorder().span("fit_risk_model"):
             features = vectorizer.transform(validation.pairs)
-            probabilities = self.classifier.predict_proba(features)
+            probabilities = classifier.predict_proba(features)
             machine_labels = self._threshold(probabilities)
             self.risk_model.fit(features, probabilities, machine_labels, validation.labels())
         self._fitted = True
@@ -253,7 +254,7 @@ class StagedPipeline:
         return create_source(self.spec.source.kind, self.spec.source.params, self.spec.seed)
 
     def _check_incremental_ready(self) -> None:
-        if self.vectorizer is None or self.risk_features is None:
+        if self.vectorizer is None or self.classifier is None or self.risk_features is None:
             raise NotFittedError(
                 "refit_risk_model requires a pipeline whose vectoriser, classifier "
                 "and risk features are already fitted (run fit once, or load a "
@@ -268,7 +269,7 @@ class StagedPipeline:
     def classify_matrix(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Classifier probabilities and thresholded hard labels for a metric matrix."""
         with get_recorder().span("classify"):
-            probabilities = self.classifier.predict_proba(matrix)
+            probabilities = self._require_classifier().predict_proba(matrix)
             return probabilities, self._threshold(probabilities)
 
     def _classify_pairs(self, pairs: list[RecordPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -563,24 +564,15 @@ class StagedPipeline:
             # process (a custom component, or a legacy state); fall back to
             # the stored tree config so loaded pipelines stay usable.
             generator = RiskFeatureGenerator(tree_config=tree_config)
-        pipeline = cls(
-            spec,
-            classifier=classifier,
-            # Injecting the restored vectoriser also skips the registry lookup
-            # of the spec's vectorizer kind: a model saved with a custom
-            # vectoriser must load without that factory being re-registered
-            # (the fitted instance is fully restored from state).
-            vectorizer=vectorizer,
-            feature_generator=generator,
-            training_config=training_config,
-        )
-        pipeline.risk_model = risk_model
-        pipeline.risk_features = risk_model.features
         if risk_model.config == training_config:
             # fit() shares one TrainingConfig between pipeline and risk model;
             # restore that sharing instead of keeping two equal copies.
             risk_model.config = training_config
-        pipeline._fitted = True
+        # Not through __init__: the fitted parts are restored from state, so a
+        # model saved with a custom component loads without its factory being
+        # registered in this process.
+        pipeline = cls.__new__(cls)
+        pipeline._assemble(spec, generator, training_config, vectorizer, classifier, risk_model)
         return pipeline
 
 
@@ -593,9 +585,4 @@ def build_pipeline(spec: PipelineSpec | Mapping[str, Any] | str | None = None) -
     """
     if isinstance(spec, str):
         spec = PipelineSpec.from_json(spec)
-    elif spec is None:
-        spec = PipelineSpec()
-    elif not isinstance(spec, PipelineSpec):
-        spec = PipelineSpec.from_dict(spec)
-    spec.validate(require_components=True)
     return StagedPipeline(spec)

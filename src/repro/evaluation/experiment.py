@@ -12,10 +12,12 @@ The harness mirrors the paper's experimental protocol:
 5. score the test part and compute ROC/AUROC against the true mislabeled
    indicator.
 
-Steps 2 and 3 run :class:`~repro.compose.staged.StagedPipeline`'s first three
-stages, the code that fits a served model, with the spec's decision threshold.
-The harness adds only the paper's similarity-only classifier view
-(:func:`restrict_classifier_view`), which it injects into the pipeline.
+Steps 2 and 3 run the first three stages of ``build_pipeline(spec)``, the
+code that fits a served model, with the spec's decision threshold.  The
+harness's default classifier is the paper's ``{"kind": "similarity_view"}``:
+the MLP that stands in for DeepMatcher, restricted to the similarity metrics
+because DeepMatcher never sees the difference metrics LearnRisk's rules use.
+Any other classifier spec, such as ``"mlp"``, sees the full metric space.
 
 On top of the core comparative run it provides the out-of-distribution
 protocol (Figure 10), the HoloClean comparison on sampled sub-workloads
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -39,8 +41,6 @@ from ..baselines import (
     default_scorers,
 )
 from ..classifiers.base import BaseClassifier
-from ..classifiers.subset import ColumnSubsetClassifier
-from ..features.metric_registry import SIMILARITY
 from ..data.datasets import load_dataset
 from ..data.records import Record, RecordPair, Table
 from ..data.schema import Schema
@@ -56,29 +56,6 @@ from .roc import RocCurve, auroc_score, mislabel_indicator, roc_curve
 
 if TYPE_CHECKING:
     from ..compose.staged import StagedPipeline
-
-
-def restrict_classifier_view(
-    classifier: BaseClassifier,
-    vectorizer: PairVectorizer,
-    metric_kind: str | None = SIMILARITY,
-) -> BaseClassifier:
-    """Restrict the classifier to metrics of one kind (DeepMatcher asymmetry).
-
-    DeepMatcher learns holistic similarity from raw text and has no access to
-    the explicit difference metrics that power LearnRisk's rules; restricting
-    the substitute classifier to the similarity metrics preserves that
-    asymmetry.  Pass ``metric_kind=None`` to give the classifier the full
-    metric space.
-    """
-    if metric_kind is None:
-        return classifier
-    indices = [
-        index for index, spec in enumerate(vectorizer.metrics) if spec.kind == metric_kind
-    ]
-    if not indices or len(indices) == len(vectorizer.metrics):
-        return classifier
-    return ColumnSubsetClassifier(classifier, indices)
 
 
 @dataclass
@@ -177,45 +154,26 @@ def _resolve_workload(dataset: "str | Workload | PairSource", scale: float = 1.0
 
 def _fit_training_stages(
     train: Workload,
-    classifier: BaseClassifier | str | dict | None,
+    classifier: str | Mapping[str, Any],
     tree_config: OneSidedTreeConfig | None,
-    classifier_metric_kind: str | None,
     seed: int,
 ) -> "StagedPipeline":
     """Fit the vectoriser, the classifier and the rules on a training workload.
 
-    These are :class:`~repro.compose.staged.StagedPipeline`'s first three
-    stages; the risk approaches take the place of the fourth.  A str or dict
-    ``classifier`` becomes the spec's classifier and ``None`` keeps the spec's
-    default MLP; an instance is injected as it is.  Either way the classifier
-    sees only the ``classifier_metric_kind`` metrics
-    (:func:`restrict_classifier_view`).
+    These are the first three stages of ``build_pipeline(spec)`` for the spec
+    the arguments describe; the risk approaches take the place of the fourth.
     """
     # Imported lazily: repro.compose imports this package for ROC helpers.
-    from ..compose.registries import create_classifier, create_vectorizer
-    from ..compose.spec import ComponentSpec, PipelineSpec
-    from ..compose.staged import StagedPipeline
+    from ..compose.staged import build_pipeline
 
-    if train.left_table is None:
-        raise DataError("the training workload has no source tables to fit the vectoriser on")
-    spec = PipelineSpec(
-        risk_features=ComponentSpec(
-            "onesided_tree", {} if tree_config is None else {"tree": asdict(tree_config)}
-        ),
-        seed=seed,
-    )
-    if not isinstance(classifier, BaseClassifier):
-        if classifier is not None:
-            spec.classifier = ComponentSpec.coerce(classifier, "classifier")
-        classifier = create_classifier(spec.classifier.kind, spec.classifier.params, seed)
-    vectorizer = create_vectorizer(
-        spec.vectorizer.kind, train.left_table.schema, spec.vectorizer.params
-    )
-    pipeline = StagedPipeline(
-        spec,
-        classifier=restrict_classifier_view(classifier, vectorizer, classifier_metric_kind),
-        vectorizer=vectorizer,
-    )
+    pipeline = build_pipeline({
+        "classifier": classifier,
+        "risk_features": {
+            "kind": "onesided_tree",
+            "params": {} if tree_config is None else {"tree": asdict(tree_config)},
+        },
+        "seed": seed,
+    })
     return pipeline.fit_vectorizer(train).fit_classifier(train).generate_risk_features(train)
 
 
@@ -257,22 +215,21 @@ def _prepared_experiment(
 def prepare_experiment(
     workload: Workload | PairSource,
     ratio: tuple[float, float, float] = (3, 2, 5),
-    classifier: BaseClassifier | str | dict | None = None,
+    classifier: str | Mapping[str, Any] = "similarity_view",
     tree_config: OneSidedTreeConfig | None = None,
-    classifier_metric_kind: str | None = SIMILARITY,
     seed: int = 0,
 ) -> PreparedExperiment:
     """Split a workload, train the classifier and generate shared risk features.
 
-    ``workload`` may also be a bounded :class:`~repro.data.sources.PairSource`
-    (e.g. a :class:`~repro.data.sources.CsvPairSource` over an exported
-    corpus), which is materialised for splitting.
+    ``classifier`` is a classifier spec (a registry key or a
+    ``{"kind": ..., "params": ...}`` mapping).  ``workload`` may also be a
+    bounded :class:`~repro.data.sources.PairSource` (e.g. a
+    :class:`~repro.data.sources.CsvPairSource` over an exported corpus),
+    which is materialised for splitting.
     """
     workload = as_workload(workload)
     split = split_workload(workload, ratio=ratio, seed=seed)
-    pipeline = _fit_training_stages(
-        split.train, classifier, tree_config, classifier_metric_kind, seed
-    )
+    pipeline = _fit_training_stages(split.train, classifier, tree_config, seed)
     return _prepared_experiment(
         workload.name, ratio, pipeline, (split.train, split.validation, split.test), seed
     )
@@ -386,24 +343,22 @@ def run_ood_experiment(
     target_ratio: tuple[float, float, float] = (0, 3, 7),
     rename_source: dict[str, str] | None = None,
     scorers: Sequence[BaseRiskScorer] | None = None,
-    classifier: BaseClassifier | str | dict | None = None,
+    classifier: str | Mapping[str, Any] = "similarity_view",
     tree_config: OneSidedTreeConfig | None = None,
-    classifier_metric_kind: str | None = SIMILARITY,
     seed: int = 0,
 ) -> ExperimentResult:
     """Out-of-distribution evaluation (Figure 10): train on one dataset, analyse another.
 
-    The classifier and the risk features are built from the *source* workload's
-    training part; the risk-training (validation) and test data come from the
-    *target* workload, mirroring the paper's DA2DS and AB2AG settings.
+    The classifier (a spec, as in :func:`prepare_experiment`) and the risk
+    features are built from the *source* workload's training part; the
+    risk-training (validation) and test data come from the *target*
+    workload, mirroring the paper's DA2DS and AB2AG settings.
     """
     source = _resolve_workload(source_dataset, scale)
     target = _resolve_workload(target_dataset, scale)
     source, target, _ = harmonise_for_ood(source, target, rename_source)
     source_split = split_workload(source, ratio=(3, 2, 5), seed=seed)
-    pipeline = _fit_training_stages(
-        source_split.train, classifier, tree_config, classifier_metric_kind, seed
-    )
+    pipeline = _fit_training_stages(source_split.train, classifier, tree_config, seed)
     target_split = split_workload(target, ratio=target_ratio, seed=seed + 1)
     prepared = _prepared_experiment(
         f"{source.name}2{target.name}",

@@ -51,11 +51,6 @@ class Condition:
     threshold: float
     is_leq: bool
 
-    def evaluate(self, metric_row: np.ndarray) -> bool:
-        """Return whether a single metric vector satisfies the condition."""
-        value = metric_row[self.metric_index]
-        return value <= self.threshold if self.is_leq else value > self.threshold
-
     def coverage(self, metric_matrix: np.ndarray) -> np.ndarray:
         """Vectorised membership mask over a metric matrix."""
         column = metric_matrix[:, self.metric_index]
@@ -137,10 +132,6 @@ class RiskRule:
         for condition in self.conditions:
             mask &= condition.coverage(metric_matrix)
         return mask
-
-    def covers(self, metric_row: np.ndarray) -> bool:
-        """Return whether a single pair (metric vector) satisfies the rule."""
-        return all(condition.evaluate(metric_row) for condition in self.conditions)
 
     def is_matching_rule(self) -> bool:
         """``True`` for a rule implying equivalence."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.classifiers import LogisticRegressionClassifier
+from repro.classifiers import ColumnSubsetClassifier, LogisticRegressionClassifier
 from repro.compose import (
     CLASSIFIERS,
     ComponentRegistry,
@@ -89,6 +89,18 @@ class TestClassifierRegistry:
         finally:
             CLASSIFIERS.unregister("test-logistic-alias")
 
+    def test_a_kwargs_factory_builds_without_the_vectorizer(self, paper_schema):
+        @register_classifier("test-kwargs")
+        def build_kwargs(seed: int = 0, **params):
+            return LogisticRegressionClassifier(seed=seed, **params)
+
+        try:
+            vectorizer = create_vectorizer("basic", paper_schema, {})
+            classifier = create_classifier("test-kwargs", {"epochs": 5}, 1, vectorizer)
+            assert classifier.epochs == 5 and classifier.seed == 1
+        finally:
+            CLASSIFIERS.unregister("test-kwargs")
+
     def test_factory_must_return_classifier(self):
         register_classifier("test-broken", lambda seed=0: object())
         try:
@@ -96,6 +108,34 @@ class TestClassifierRegistry:
                 create_classifier("test-broken", {})
         finally:
             CLASSIFIERS.unregister("test-broken")
+
+
+class TestSimilarityView:
+    def test_wraps_the_base_over_the_similarity_columns(self, paper_schema):
+        vectorizer = create_vectorizer("basic", paper_schema, {})
+        view = create_classifier(
+            "similarity_view", {"base": {"kind": "logistic", "params": {"epochs": 5}}},
+            seed=4, vectorizer=vectorizer,
+        )
+        assert isinstance(view, ColumnSubsetClassifier)
+        assert isinstance(view.base, LogisticRegressionClassifier)
+        assert (view.base.epochs, view.base.seed) == (5, 4)
+        kinds = [spec.kind for spec in vectorizer.metrics]
+        assert "difference" in kinds
+        assert view.column_indices.tolist() == [
+            index for index, kind in enumerate(kinds) if kind == "similarity"
+        ]
+
+    def test_an_all_similarity_vectorizer_gets_the_bare_base(self, paper_schema):
+        vectorizer = create_vectorizer("basic", paper_schema, {"kinds": ["similarity"]})
+        base = create_classifier(
+            "similarity_view", {"base": "logistic"}, seed=4, vectorizer=vectorizer
+        )
+        assert type(base) is LogisticRegressionClassifier
+
+    def test_needs_the_fitted_vectorizer(self):
+        with pytest.raises(ConfigurationError, match="'similarity_view'.*'vectorizer'"):
+            create_classifier("similarity_view", {})
 
 
 class TestVectorizerRegistry:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.classifiers import ColumnSubsetClassifier, LogisticRegressionClassifier
 from repro.compose import PipelineSpec, build_pipeline, registered_classifiers
 from repro.data import split_workload
 from repro.serve import load_pipeline, save_pipeline
@@ -24,6 +25,7 @@ CLASSIFIER_PARAMS = {
     "tree": {"max_depth": 3},
     "forest": {"n_trees": 5, "max_depth": 3},
     "ensemble": {"n_models": 2},
+    "similarity_view": {"base": {"kind": "logistic", "params": {"epochs": 40}}},
 }
 
 RISK_FEATURES = {
@@ -136,6 +138,22 @@ def test_legacy_state_without_spec_still_loads(ds_split, tmp_path):
     )
 
 
+def _fit_golden(spec_path: Path, output: Path) -> Path:
+    assert serve_cli([
+        "fit", "--data-dir", str(GOLDEN_DATA), "--name", "golden",
+        "--schema", str(GOLDEN_DATA / "schema.json"),
+        "--spec", str(spec_path), "--output", str(output),
+    ]) == 0
+    return output
+
+
+def _assert_same_files(first: Path, again: Path) -> None:
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+
 def test_refit_from_saved_spec_json_saves_the_same_bytes(tmp_path):
     """A model's own spec.json refits it byte for byte, state.json included.
 
@@ -143,17 +161,22 @@ def test_refit_from_saved_spec_json_saves_the_same_bytes(tmp_path):
     max_thresholds) while spec.json is written with sorted keys, so the spec
     embedded in state.json must not keep its source's key order.
     """
-    def fit(spec_path: Path, output: Path) -> Path:
-        assert serve_cli([
-            "fit", "--data-dir", str(GOLDEN_DATA), "--name", "golden",
-            "--schema", str(GOLDEN_DATA / "schema.json"),
-            "--spec", str(spec_path), "--output", str(output),
-        ]) == 0
-        return output
+    first = _fit_golden(GOLDEN_DATA / "spec.json", tmp_path / "first")
+    _assert_same_files(first, _fit_golden(first / "spec.json", tmp_path / "again"))
 
-    first = fit(GOLDEN_DATA / "spec.json", tmp_path / "first")
-    again = fit(first / "spec.json", tmp_path / "again")
-    names = sorted(path.name for path in first.iterdir())
-    assert names == sorted(path.name for path in again.iterdir())
-    for name in names:
-        assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
+def test_similarity_view_model_saves_loads_and_refits(tmp_path):
+    """The paper's classifier is a spec like any other: it saves as the
+    ``column_subset`` it builds, and its own spec.json refits it byte for byte."""
+    spec = json.loads((GOLDEN_DATA / "spec.json").read_text())
+    spec["classifier"] = {"kind": "similarity_view", "params": CLASSIFIER_PARAMS["similarity_view"]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+
+    first = _fit_golden(spec_path, tmp_path / "first")
+    assert json.loads((first / "spec.json").read_text())["classifier"]["kind"] == "similarity_view"
+    assert json.loads((first / "state.json").read_text())["classifier"]["kind"] == "column_subset"
+    loaded = load_pipeline(first)
+    assert type(loaded.classifier) is ColumnSubsetClassifier
+    assert type(loaded.classifier.base) is LogisticRegressionClassifier
+    _assert_same_files(first, _fit_golden(first / "spec.json", tmp_path / "again"))

@@ -49,6 +49,26 @@ class TestStagedProtocol:
         with pytest.raises(NotFittedError):
             pipeline.analyse(ds_split.test)
 
+    def test_risk_model_needs_the_classifier(self, ds_split):
+        pipeline = build_pipeline(PipelineSpec.from_dict(SPEC_VALUES))
+        pipeline.fit_vectorizer(ds_split.train).generate_risk_features(ds_split.train)
+        with pytest.raises(NotFittedError, match="fit_classifier"):
+            pipeline.fit_risk_model(ds_split.validation)
+
+    def test_a_misspelt_classifier_param_fails_at_fit_classifier(self, ds_split):
+        spec = {**SPEC_VALUES, "classifier": {"kind": "logistic", "params": {"epoch": 5}}}
+        pipeline = build_pipeline(PipelineSpec.from_dict(spec)).fit_vectorizer(ds_split.train)
+        with pytest.raises(ConfigurationError, match="classifier 'logistic'"):
+            pipeline.fit_classifier(ds_split.train)
+        assert pipeline.classifier is None
+
+    def test_a_bad_tree_param_fails_at_construction(self):
+        spec = {**SPEC_VALUES, "risk_features": {
+            "kind": "onesided_tree", "params": {"tree": {"depth": 2}},
+        }}
+        with pytest.raises(ConfigurationError, match="unknown one-sided tree parameters"):
+            build_pipeline(PipelineSpec.from_dict(spec))
+
     def test_monolithic_fit_equals_staged_fit(self, ds_split, staged_fitted):
         pipeline = build_pipeline(PipelineSpec.from_dict(SPEC_VALUES))
         pipeline.fit(ds_split.train, ds_split.validation)

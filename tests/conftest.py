@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.classifiers.mlp import MLPClassifier
 from repro.data import load_dataset
 from repro.data.records import MATCH, UNMATCH, Record, RecordPair, Table
 from repro.data.schema import Attribute, AttributeType, Schema
@@ -117,11 +116,11 @@ def fast_tree_config() -> OneSidedTreeConfig:
 @pytest.fixture(scope="session")
 def prepared_ds(ds_workload, fast_tree_config) -> PreparedExperiment:
     """A fully prepared experiment (classifier + risk features) on the small DS workload."""
-    classifier = MLPClassifier(hidden_sizes=(16,), epochs=25, seed=0)
+    classifier = {"kind": "mlp", "params": {"hidden_sizes": [16], "epochs": 25, "l2": 1e-4}}
     return prepare_experiment(
         ds_workload,
         ratio=(3, 2, 5),
-        classifier=classifier,
+        classifier={"kind": "similarity_view", "params": {"base": classifier}},
         tree_config=fast_tree_config,
         seed=0,
     )

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import AmbiguityBaseline, LearnRiskScorer
-from repro.classifiers import LogisticRegressionClassifier
-from repro.classifiers.mlp import MLPClassifier
+from repro.classifiers import ColumnSubsetClassifier, LogisticRegressionClassifier
 from repro.compose import PipelineSpec, build_pipeline
 from repro.data import load_dataset, split_workload
 from repro.data.workload import Workload
@@ -52,15 +51,21 @@ class TestPreparedExperiment:
                 part.machine_labels, (part.probabilities >= 0.5).astype(int)
             )
 
-    def test_unrestricted_harness_fits_what_build_pipeline_fits(self, ds_workload):
-        # With the full metric view the harness adds nothing of its own: its
-        # classifier outputs and rules are a served pipeline's first three
-        # stages, bit for bit.
-        classifier = {"kind": "logistic", "params": {"epochs": 40}}
-        prepared = prepare_experiment(
-            ds_workload, classifier=classifier, tree_config=FAST_TREE,
-            classifier_metric_kind=None, seed=1,
-        )
+    @pytest.mark.parametrize("classifier", [
+        {"kind": "logistic", "params": {"epochs": 40}},
+        None,
+    ], ids=["full-view", "default-similarity-view"])
+    def test_harness_fits_what_build_pipeline_fits(self, ds_workload, classifier):
+        # The harness adds nothing of its own: its classifier outputs and
+        # rules are a served pipeline's first three stages, bit for bit, and
+        # its default classifier is the spec's "similarity_view".
+        if classifier is None:
+            prepared = prepare_experiment(ds_workload, tree_config=FAST_TREE, seed=1)
+            classifier = {"kind": "similarity_view"}
+        else:
+            prepared = prepare_experiment(
+                ds_workload, classifier=classifier, tree_config=FAST_TREE, seed=1
+            )
         pipeline = build_pipeline(PipelineSpec(
             classifier=classifier,
             risk_features={"kind": "onesided_tree", "params": {"tree": asdict(FAST_TREE)}},
@@ -78,18 +83,24 @@ class TestPreparedExperiment:
             rule.to_dict() for rule in pipeline.risk_features.rules
         ]
 
-    def test_a_classifier_key_builds_the_registered_classifier(self, ds_workload):
-        by_key, by_instance = (
+    def test_a_plain_classifier_spec_sees_every_metric(self, ds_workload):
+        full, view = (
             prepare_experiment(
                 ds_workload, classifier=classifier, tree_config=FAST_TREE, seed=2
             )
-            for classifier in ("logistic", LogisticRegressionClassifier(seed=2))
+            for classifier in (
+                "logistic", {"kind": "similarity_view", "params": {"base": "logistic"}}
+            )
         )
-        np.testing.assert_array_equal(by_key.test.probabilities, by_instance.test.probabilities)
+        assert type(full.classifier) is LogisticRegressionClassifier
+        assert type(view.classifier) is ColumnSubsetClassifier
+        assert type(view.classifier.base) is LogisticRegressionClassifier
+        assert 0 < len(view.classifier.column_indices) < full.vectorizer.n_features
+        assert not np.array_equal(full.test.probabilities, view.test.probabilities)
 
     def test_a_training_workload_without_tables_is_rejected(self, ds_workload):
         bare = Workload("bare", ds_workload.pairs)
-        with pytest.raises(DataError, match="no source tables"):
+        with pytest.raises(DataError, match="source tables"):
             prepare_experiment(bare, tree_config=FAST_TREE)
 
 
@@ -130,7 +141,10 @@ class TestOodHarness:
     def test_ood_experiment_runs(self):
         result = run_ood_experiment(
             "DA", "DS", scale=0.15, scorers=FAST_SCORERS, tree_config=FAST_TREE,
-            classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0), seed=3,
+            classifier={"kind": "similarity_view", "params": {
+                "base": {"kind": "mlp", "params": {"hidden_sizes": [16], "epochs": 15}},
+            }},
+            seed=3,
         )
         assert result.dataset == "DA2DS"
         assert set(result.methods) == {"Baseline", "LearnRisk"}

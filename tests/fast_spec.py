@@ -6,7 +6,8 @@ spec like any served model.  Import it as ``from fast_spec import ...``.
 
 from __future__ import annotations
 
-from repro.classifiers.base import BaseClassifier
+from typing import Any, Mapping
+
 from repro.compose import StagedPipeline
 
 FAST_SPEC = {
@@ -18,10 +19,18 @@ FAST_SPEC = {
     "training": {"epochs": 40},
 }
 
+#: The second model the serving suites fit, so two versions score apart.
+LOGISTIC_CHALLENGER = {"kind": "logistic", "params": {"epochs": 80, "seed": 1}}
 
-def fast_pipeline(seed: int = 0, classifier: BaseClassifier | None = None) -> StagedPipeline:
+
+def fast_pipeline(
+    seed: int = 0, classifier: str | Mapping[str, Any] | None = None
+) -> StagedPipeline:
     """An unfitted pipeline of :data:`FAST_SPEC` at ``seed``.
 
-    ``classifier`` replaces the spec's MLP with a pre-built instance.
+    ``classifier`` replaces the spec's MLP with another classifier spec.
     """
-    return StagedPipeline({**FAST_SPEC, "seed": seed}, classifier=classifier)
+    spec = {**FAST_SPEC, "seed": seed}
+    if classifier is not None:
+        spec["classifier"] = classifier
+    return StagedPipeline(spec)

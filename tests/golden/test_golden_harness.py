@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.baselines import AmbiguityBaseline, LearnRiskScorer, default_scorers
-from repro.classifiers.mlp import MLPClassifier
 from repro.evaluation.experiment import ExperimentResult, evaluate_scorers, run_ood_experiment
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
@@ -51,7 +50,11 @@ def observed(prepared_ds) -> dict:
         "DA", "DS", scale=0.15,
         scorers=[AmbiguityBaseline(), LearnRiskScorer(training_config=TrainingConfig(epochs=40))],
         tree_config=OneSidedTreeConfig(max_depth=2, min_support=4, max_thresholds=24),
-        classifier=MLPClassifier(hidden_sizes=(16,), epochs=15, seed=0), seed=3,
+        classifier={"kind": "similarity_view", "params": {"base": {
+            "kind": "mlp",
+            "params": {"hidden_sizes": [16], "epochs": 15, "l2": 1e-4, "seed": 0},
+        }}},
+        seed=3,
     )
     return {"prepared_ds": _panel(prepared), "ood_DA2DS": _panel(ood)}
 

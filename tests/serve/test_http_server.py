@@ -19,13 +19,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.classifiers import LogisticRegressionClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError
 from repro.serve import RiskService, load_pipeline, save_pipeline
 from repro.serve.http import SCHEMA_VERSION, ServerConfig, ServerHandle, build_server, pair_to_payload
 
-from fast_spec import fast_pipeline
+from fast_spec import LOGISTIC_CHALLENGER, fast_pipeline
 
 
 def _fit_pipeline(workload, classifier=None, seed=0):
@@ -53,9 +52,7 @@ def http_json(address, method, path, payload=None, raw_body=None):
 @pytest.fixture(scope="module")
 def served(ds_workload, tmp_path_factory):
     pipeline, split = _fit_pipeline(ds_workload, seed=0)
-    second_pipeline, _ = _fit_pipeline(
-        ds_workload, classifier=LogisticRegressionClassifier(epochs=80, seed=1), seed=0
-    )
+    second_pipeline, _ = _fit_pipeline(ds_workload, classifier=LOGISTIC_CHALLENGER, seed=0)
     root = tmp_path_factory.mktemp("http-serving")
     model_dir, second_dir = root / "model-v1", root / "model-v2"
     save_pipeline(pipeline, model_dir)

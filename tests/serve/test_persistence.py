@@ -114,7 +114,7 @@ class TestPipelineRoundTrip:
         }
         restored = load_pipeline(directory)
 
-        assert restored.is_fitted and restored.ready
+        assert restored.is_fitted
         report = restored.analyse(split.test)
         np.testing.assert_array_equal(
             report.machine_probabilities, expected.machine_probabilities

@@ -9,16 +9,21 @@ import threading
 import numpy as np
 import pytest
 
-from repro.classifiers import LogisticRegressionClassifier, MLPClassifier
-from repro.compose import PipelineSpec, build_pipeline, create_source, registered_classifiers
-from repro.compose.spec import DEFAULT_CLASSIFIER_PARAMS
+from repro.compose import (
+    PipelineSpec,
+    build_pipeline,
+    create_classifier,
+    create_source,
+    registered_classifiers,
+)
+from repro.compose.spec import component_spec_for_classifier
 from repro.data import split_workload
 from repro.data.io import export_workload
 from repro.exceptions import ConfigurationError
 from repro.serve import ModelRegistry, RiskService, load_pipeline, save_pipeline
 from repro.serve.cli import _spec_from_flags, build_parser, main
 
-from fast_spec import fast_pipeline
+from fast_spec import LOGISTIC_CHALLENGER, fast_pipeline
 
 
 def _fit_pipeline(workload, classifier=None, seed=0):
@@ -31,9 +36,7 @@ def _fit_pipeline(workload, classifier=None, seed=0):
 @pytest.fixture(scope="module")
 def two_pipelines(ds_workload):
     first, split = _fit_pipeline(ds_workload, seed=0)
-    second, _ = _fit_pipeline(
-        ds_workload, classifier=LogisticRegressionClassifier(epochs=80, seed=1), seed=0
-    )
+    second, _ = _fit_pipeline(ds_workload, classifier=LOGISTIC_CHALLENGER, seed=0)
     return first, second, split
 
 
@@ -105,6 +108,14 @@ class TestModelRegistry:
         pairs = split.test.pairs[:10]
         expected = first.analyse(split.test.subset(range(10))).risk_scores
         np.testing.assert_array_equal(registry.service("ds").risk_scores(pairs), expected)
+
+    def test_the_challenger_refits_from_its_own_spec_json(self, two_pipelines, tmp_path):
+        _, second, split = two_pipelines
+        saved = save_pipeline(second, tmp_path / "challenger")
+        spec = PipelineSpec.from_json((saved / "spec.json").read_text())
+        assert spec.to_dict()["classifier"] == LOGISTIC_CHALLENGER
+        refit = build_pipeline(spec).fit(split.train, split.validation)
+        TestCli._assert_same_files(saved, save_pipeline(refit, tmp_path / "refit"))
 
     def test_unregister(self, two_pipelines):
         first, second, _ = two_pipelines
@@ -182,14 +193,15 @@ class TestFitFlagSpec:
         expected = {"epochs": 7} if kind in ("mlp", "logistic") else {}
         assert spec.classifier.params == expected
 
-    def test_without_epochs_the_mlp_keeps_its_constructor_defaults(self):
-        spec = _flag_spec("--classifier", "mlp")
-        assert spec.classifier.params == {}
-        classifier = build_pipeline(spec).classifier
-        default = MLPClassifier()
-        assert (classifier.l2, classifier.epochs) == (default.l2, default.epochs)
-        # Not the library's default classifier, whose l2 is smaller.
-        assert classifier.l2 != DEFAULT_CLASSIFIER_PARAMS["l2"]
+    def test_default_flags_train_the_library_default_mlp(self):
+        flags, library = (
+            component_spec_for_classifier(
+                create_classifier(spec.classifier.kind, spec.classifier.params, spec.seed)
+            )
+            for spec in (_flag_spec(), PipelineSpec())
+        )
+        assert flags.kind == "mlp"
+        assert flags == library
 
     def test_rule_depth_risk_epochs_metric_and_seed_reach_the_spec(self):
         spec = _flag_spec(

@@ -19,12 +19,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.classifiers import LogisticRegressionClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError
 from repro.serve import ModelRegistry, RiskService
 
-from fast_spec import fast_pipeline
+from fast_spec import LOGISTIC_CHALLENGER, fast_pipeline
 
 
 def _fit_pipeline(workload, classifier=None, seed=0):
@@ -37,9 +36,7 @@ def _fit_pipeline(workload, classifier=None, seed=0):
 @pytest.fixture(scope="module")
 def swap_setup(ds_workload):
     first, split = _fit_pipeline(ds_workload, seed=0)
-    second, _ = _fit_pipeline(
-        ds_workload, classifier=LogisticRegressionClassifier(epochs=80, seed=1), seed=0
-    )
+    second, _ = _fit_pipeline(ds_workload, classifier=LOGISTIC_CHALLENGER, seed=0)
     probe = list(split.test.pairs[:12])
     expected_first = tuple(
         scored.risk_score for scored in RiskService(first).score_pairs(probe)
