@@ -21,11 +21,7 @@ from .metrics import (
     recall_at_budget,
     recall_score,
 )
-from .reporting import (
-    format_auroc_map,
-    format_series,
-    format_table,
-)
+from .reporting import format_table
 from .roc import RocCurve, auroc_score, mislabel_indicator, roc_curve
 
 __all__ = [
@@ -39,8 +35,6 @@ __all__ = [
     "confusion_matrix",
     "evaluate_scorers",
     "f1_score",
-    "format_auroc_map",
-    "format_series",
     "format_table",
     "harmonise_for_ood",
     "mislabel_indicator",

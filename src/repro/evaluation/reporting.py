@@ -1,14 +1,8 @@
-"""Plain-text reporting of experiment results.
-
-The benchmark harness prints the same rows/series the paper reports — AUROC per
-approach per workload, sensitivity curves, runtime series — as fixed-width text
-tables so results are readable in CI logs and easy to diff against
-EXPERIMENTS.md.
-"""
+"""Plain-text reporting of experiment results as fixed-width text tables."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -33,15 +27,3 @@ def format_table(
         for row in rendered_rows
     ]
     return "\n".join([line, separator, *body])
-
-
-def format_auroc_map(title: str, aurocs: Mapping[str, float]) -> str:
-    """Small two-column table of approach → AUROC."""
-    rows = [[name, value] for name, value in aurocs.items()]
-    return f"{title}\n" + format_table(["approach", "AUROC"], rows)
-
-
-def format_series(title: str, series: Mapping[object, float], value_name: str = "value") -> str:
-    """One-parameter sweep (sensitivity, scalability) as a two-column table."""
-    rows = [[str(key), value] for key, value in series.items()]
-    return f"{title}\n" + format_table(["parameter", value_name], rows)

@@ -468,7 +468,7 @@ class LearnRiskModel:
 
     # -------------------------------------------------------------- summary
     def summary(self) -> dict[str, float]:
-        """Key fitted quantities (for logging and EXPERIMENTS.md reporting)."""
+        """Key fitted quantities, for logging and the ``serve fit`` report."""
         if not self._fitted:
             raise NotFittedError("LearnRiskModel.summary requires a fitted model")
         matching_rules = sum(1 for rule in self.features.rules if rule.label == MATCH)

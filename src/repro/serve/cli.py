@@ -159,11 +159,18 @@ def _parse_ratio(text: str) -> tuple[float, float, float]:
 def _spec_from_flags(args: argparse.Namespace) -> PipelineSpec:
     """The spec a user would write for ``fit``'s per-field flags.
 
-    ``--epochs`` reaches only the classifiers that train by epochs; with no
-    ``--epochs`` the classifier keeps its own constructor defaults.
+    ``--epochs`` sets the epochs of ``mlp`` and ``logistic``; with no
+    ``--epochs`` the classifier keeps its own constructor defaults.  Any
+    other classifier given ``--epochs`` is a usage error: its epochs, if it
+    trains by any, belong in its spec, which ``--spec`` accepts.
     """
     classifier_params = {}
-    if args.epochs is not None and args.classifier in ("mlp", "logistic"):
+    if args.epochs is not None:
+        if args.classifier not in ("mlp", "logistic"):
+            args.parser.error(
+                f"--epochs does not reach the {args.classifier!r} classifier; "
+                "set its params in a --spec file instead"
+            )
         classifier_params["epochs"] = args.epochs
     return PipelineSpec(
         classifier={"kind": args.classifier, "params": classifier_params},
@@ -677,7 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "overrides the per-field options below")
     fit.add_argument("--classifier", choices=registered_classifiers(), default="mlp")
     fit.add_argument("--epochs", type=int, default=None,
-                     help="classifier training epochs (classifier-specific default)")
+                     help="mlp/logistic training epochs (classifier-specific default); "
+                          "other classifiers take theirs from --spec")
     fit.add_argument("--risk-epochs", type=int, default=200,
                      help="risk-model training epochs (default 200)")
     fit.add_argument("--rule-depth", type=int, default=3,
@@ -686,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--ratio", type=_parse_ratio, default=(3.0, 2.0, 5.0),
                      help="train,validation,test split ratio (default 3,2,5)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.set_defaults(handler=_cmd_fit)
+    fit.set_defaults(handler=_cmd_fit, parser=fit)
 
     block = subparsers.add_parser(
         "block", help="stream blocked candidate pairs from raw record tables to CSV"

@@ -21,7 +21,7 @@ from repro.evaluation.experiment import (
     run_scalability_experiment,
     run_sensitivity_experiment,
 )
-from repro.evaluation.reporting import format_auroc_map, format_series, format_table
+from repro.evaluation.reporting import format_table
 from repro.exceptions import DataError
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
@@ -186,7 +186,3 @@ class TestReporting:
     def test_format_table(self):
         text = format_table(["a", "b"], [["x", 1.23456], ["y", 2.0]])
         assert "a" in text and "1.235" in text
-
-    def test_format_auroc_map_and_series(self):
-        assert "0.900" in format_auroc_map("title", {"LearnRisk": 0.9})
-        assert "parameter" in format_series("sweep", {1: 0.5, 2: 0.6})

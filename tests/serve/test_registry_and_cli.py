@@ -187,11 +187,19 @@ class TestFitFlagSpec:
     """``fit`` without ``--spec`` builds the spec its flags describe."""
 
     @pytest.mark.parametrize("kind", registered_classifiers())
-    def test_epochs_reach_only_the_classifiers_trained_by_epochs(self, kind):
-        spec = _flag_spec("--classifier", kind, "--epochs", "7")
-        assert spec.classifier.kind == kind
-        expected = {"epochs": 7} if kind in ("mlp", "logistic") else {}
-        assert spec.classifier.params == expected
+    def test_epochs_reach_only_the_classifiers_trained_by_epochs(self, kind, capsys):
+        if kind in ("mlp", "logistic"):
+            spec = _flag_spec("--classifier", kind, "--epochs", "7")
+            assert spec.classifier.kind == kind
+            assert spec.classifier.params == {"epochs": 7}
+            return
+        # The usage error comes before any workload is loaded, so no
+        # --dataset is needed.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fit", "--output", "model", "--classifier", kind, "--epochs", "7"])
+        assert exit_info.value.code == 2
+        message = capsys.readouterr().err
+        assert repr(kind) in message and "--spec" in message
 
     def test_default_flags_train_the_library_default_mlp(self):
         flags, library = (
